@@ -11,25 +11,22 @@
 //                    honest same-binary A/B baseline
 //   S2PL             SERIALIZABLE via strict two-phase locking
 //
-// Second section: conflict-graph locking A/B — a high-conflict
-// write-skew mix (every transaction reads both members of a random pair
-// and conditionally updates one, so rw-antidependency edges form at a
-// high rate and throughput is bounded by the conflict path, not the
-// SIREAD read path) under fine-grained per-xact edge locks
-// (EngineConfig::conflict_lock_mode=1, default) vs the old global
-// conflict mutex (=0).
+// Second section: high-conflict write skew — every transaction reads
+// both members of a random pair and conditionally updates one, so
+// rw-antidependency edges form at a high rate and throughput is bounded
+// by the conflict path, not the SIREAD read path.
 //
-// Prints a table, reports the 8-thread partitioned-vs-global and
-// fine-vs-global-conflict speedups, and emits machine-readable
-// BENCH_lockmgr.json (see bench_json.h).
+// Third section: abort-heavy teardown churn — xact teardown through the
+// epoch limbo is the measured path.
+//
+// Prints a table, reports the 8-thread partitioned-vs-global speedup,
+// and emits machine-readable BENCH_lockmgr.json (see bench_json.h).
 //
 // Flags: --rows=N --write-frac=F --threads=1,2,4,8,16 --partitions=N
-// --heap-stripes=N --conflict-lock-mode=N (--partitions pins the
-// partitioned series' count; the 1-partition baseline always runs for
-// comparison unless --partitions=1; --heap-stripes sets every series'
-// heap-latch stripe count, 1 = the old one-latch-per-table design;
-// --conflict-lock-mode sets the main SSI series' conflict-graph locking,
-// and the write-skew section always runs both settings).
+// --heap-stripes=N (--partitions pins the partitioned series' count; the
+// 1-partition baseline always runs for comparison unless --partitions=1;
+// --heap-stripes sets every series' heap-latch stripe count, 1 = the old
+// one-latch-per-table design).
 // PGSSI_BENCH_SECONDS sets the per-point window (default 1s).
 #include <cstdio>
 #include <cstdlib>
@@ -62,9 +59,6 @@ struct Config {
   std::vector<int> threads = {1, 2, 4, 8, 16};
   uint32_t partitions = kLockPartitions;
   uint32_t heap_stripes = kHeapStripes;
-  uint32_t conflict_lock_mode = 1;
-  uint32_t index_olc = 1;
-  uint32_t epoch_reclaim = 1;
   uint64_t skew_pairs = 16;
 };
 
@@ -136,19 +130,14 @@ Status RunWriteSkew(Database* db, TableId t, const Config& cfg, Random& rng) {
   return txn->Commit();
 }
 
-// One conflict-lock-mode point series of the write-skew A/B. Reloads the
-// pairs for every thread count so aborted balances don't drift across
-// points.
-void RunConflictSkewSeries(const Config& cfg, uint32_t mode, double secs,
-                           std::vector<BenchRow>* rows_out, double* ops8) {
-  char series[48];
-  std::snprintf(series, sizeof(series), "SSI-skew/conflict=%s",
-                mode != 0 ? "fine" : "global");
+// The write-skew series. Reloads the pairs for every thread count so
+// aborted balances don't drift across points.
+void RunConflictSkewSeries(const Config& cfg, double secs,
+                           std::vector<BenchRow>* rows_out) {
+  const char* series = "SSI-skew";
   for (int threads : cfg.threads) {
     DatabaseOptions opts;
     opts.engine.heap_stripes = cfg.heap_stripes;
-    opts.engine.conflict_lock_mode = mode;
-    opts.engine.index_olc = cfg.index_olc;
     auto db = Database::Open(opts);
     TableId t;
     if (!db->CreateTable("skew", &t).ok()) std::abort();
@@ -166,21 +155,18 @@ void RunConflictSkewSeries(const Config& cfg, uint32_t mode, double secs,
         [&](int, Random& rng) { return RunWriteSkew(db.get(), t, cfg, rng); },
         threads, secs);
     BenchRow row = RowFromDriver(series, threads, r);
-    row.extra = {{"conflict_lock_mode", static_cast<double>(mode)},
-                 {"skew_pairs", static_cast<double>(cfg.skew_pairs)},
+    row.extra = {{"skew_pairs", static_cast<double>(cfg.skew_pairs)},
                  {"heap_stripes", static_cast<double>(cfg.heap_stripes)}};
     rows_out->push_back(row);
     std::printf("%-18s %8d %12.0f %9.2f%% %10.1f %10.1f\n", series, threads,
                 row.ops_per_sec, row.abort_rate * 100, row.p50_us, row.p99_us);
     std::fflush(stdout);
-    if (threads == 8 && ops8) *ops8 = row.ops_per_sec;
   }
 }
 
 // Abort-heavy teardown churn: every transaction reads most of a tiny
 // keyspace and writes part of it, so rw edges are dense, SSI aborts are
-// the COMMON case, and the measured path is xact teardown — exactly
-// what epoch reclamation moved off the exclusive registry lock. Half
+// the COMMON case, and the measured path is xact teardown. Half
 // the surviving transactions also abort voluntarily to keep the
 // teardown rate high even when conflicts momentarily clear.
 Status RunAbortChurn(Database* db, TableId t, Random& rng) {
@@ -209,20 +195,12 @@ Status RunAbortChurn(Database* db, TableId t, Random& rng) {
   return txn->Commit();
 }
 
-// One epoch-reclaim point series of the teardown A/B. The JSON rows
-// carry the audit counter so the "zero exclusive acquisitions" claim is
-// checkable straight from BENCH_lockmgr.json.
-void RunTeardownSeries(const Config& cfg, uint32_t epoch_reclaim, double secs,
-                       std::vector<BenchRow>* rows_out, double* ops8) {
-  char series[48];
-  std::snprintf(series, sizeof(series), "SSI-teardown/%s",
-                epoch_reclaim != 0 ? "epoch" : "exclusive");
+void RunTeardownSeries(const Config& cfg, double secs,
+                       std::vector<BenchRow>* rows_out) {
+  const char* series = "SSI-teardown";
   for (int threads : cfg.threads) {
     DatabaseOptions opts;
     opts.engine.heap_stripes = cfg.heap_stripes;
-    opts.engine.conflict_lock_mode = cfg.conflict_lock_mode;
-    opts.engine.index_olc = cfg.index_olc;
-    opts.engine.epoch_reclaim = epoch_reclaim;
     auto db = Database::Open(opts);
     TableId t;
     if (!db->CreateTable("churn", &t).ok()) std::abort();
@@ -237,17 +215,12 @@ void RunTeardownSeries(const Config& cfg, uint32_t epoch_reclaim, double secs,
         [&](int, Random& rng) { return RunAbortChurn(db.get(), t, rng); },
         threads, secs);
     BenchRow row = RowFromDriver(series, threads, r);
-    row.extra = {
-        {"epoch_reclaim", static_cast<double>(epoch_reclaim)},
-        {"registry_exclusive_acquires",
-         static_cast<double>(db->SireadRegistryExclusiveAcquires())},
-        {"epoch_freed_objects",
-         static_cast<double>(db->EpochFreedObjectCount())}};
+    row.extra = {{"epoch_freed_objects",
+                  static_cast<double>(db->EpochFreedObjectCount())}};
     rows_out->push_back(row);
     std::printf("%-18s %8d %12.0f %9.2f%% %10.1f %10.1f\n", series, threads,
                 row.ops_per_sec, row.abort_rate * 100, row.p50_us, row.p99_us);
     std::fflush(stdout);
-    if (threads == 8 && ops8) *ops8 = row.ops_per_sec;
   }
 }
 
@@ -266,14 +239,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--heap-stripes=", 15) == 0) {
       cfg.heap_stripes =
           static_cast<uint32_t>(std::strtoul(a + 15, nullptr, 10));
-    } else if (std::strncmp(a, "--conflict-lock-mode=", 21) == 0) {
-      cfg.conflict_lock_mode =
-          static_cast<uint32_t>(std::strtoul(a + 21, nullptr, 10));
-    } else if (std::strncmp(a, "--index-olc=", 12) == 0) {
-      cfg.index_olc = static_cast<uint32_t>(std::strtoul(a + 12, nullptr, 10));
-    } else if (std::strncmp(a, "--epoch-reclaim=", 16) == 0) {
-      cfg.epoch_reclaim =
-          static_cast<uint32_t>(std::strtoul(a + 16, nullptr, 10));
     } else if (std::strncmp(a, "--threads=", 10) == 0) {
       cfg.threads.clear();
       for (const char* p = a + 10; *p;) {
@@ -284,9 +249,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--rows=N] [--write-frac=F] [--threads=a,b,...] "
-                   "[--partitions=N] [--heap-stripes=N] "
-                   "[--conflict-lock-mode=N] [--index-olc=N] "
-                   "[--epoch-reclaim=N]\n",
+                   "[--partitions=N] [--heap-stripes=N]\n",
                    argv[0]);
       return 2;
     }
@@ -302,9 +265,6 @@ int main(int argc, char** argv) {
   s2pl.serializable_impl = SerializableImpl::kS2PL;
   for (DatabaseOptions* o : {&si_opts, &ssi_part, &ssi_global, &s2pl}) {
     o->engine.heap_stripes = cfg.heap_stripes;
-    o->engine.conflict_lock_mode = cfg.conflict_lock_mode;
-    o->engine.index_olc = cfg.index_olc;
-    o->engine.epoch_reclaim = cfg.epoch_reclaim;
   }
 
   std::vector<Series> series = {
@@ -352,9 +312,6 @@ int main(int argc, char** argv) {
                    {"partitions",
                     static_cast<double>(s.opts.engine.lock_partitions)},
                    {"heap_stripes", static_cast<double>(cfg.heap_stripes)},
-                   {"conflict_lock_mode",
-                    static_cast<double>(cfg.conflict_lock_mode)},
-                   {"index_olc", static_cast<double>(cfg.index_olc)},
                    {"hardware_threads", static_cast<double>(hw)}};
       rows_out.push_back(row);
       std::printf("%-18s %8d %12.0f %9.2f%% %10.1f %10.1f\n", s.name, threads,
@@ -377,46 +334,16 @@ int main(int argc, char** argv) {
         part8 / global8);
   }
 
-  std::printf(
-      "\n# Conflict-graph locking A/B: high-conflict write skew, %llu pairs "
-      "(fine per-xact edge locks vs global conflict mutex)\n",
-      static_cast<unsigned long long>(cfg.skew_pairs));
-  if (hw < 2) {
-    std::printf(
-        "# NOTE: single-core machine — the conflict-path split cannot show "
-        "its multicore win here.\n");
-  }
+  std::printf("\n# High-conflict write skew, %llu pairs\n",
+              static_cast<unsigned long long>(cfg.skew_pairs));
   std::printf("%-18s %8s %12s %10s %10s %10s\n", "series", "threads", "txn/s",
               "abort%", "p50us", "p99us");
-  double fine8 = 0, cglobal8 = 0;
-  RunConflictSkewSeries(cfg, /*mode=*/1, secs, &rows_out, &fine8);
-  RunConflictSkewSeries(cfg, /*mode=*/0, secs, &rows_out, &cglobal8);
-  if (fine8 > 0 && cglobal8 > 0) {
-    std::printf(
-        "# 8-thread write-skew speedup, fine-grained vs global conflict "
-        "lock: %.2fx\n",
-        fine8 / cglobal8);
-  }
+  RunConflictSkewSeries(cfg, secs, &rows_out);
 
-  std::printf(
-      "\n# Teardown A/B: abort-heavy extreme-conflict churn "
-      "(epoch-limbo reclamation vs exclusive-registry teardown)\n");
-  if (hw < 2) {
-    std::printf(
-        "# NOTE: single-core machine — taking the registry lock off the "
-        "teardown path cannot show its multicore win here.\n");
-  }
+  std::printf("\n# Teardown: abort-heavy extreme-conflict churn\n");
   std::printf("%-18s %8s %12s %10s %10s %10s\n", "series", "threads", "txn/s",
               "abort%", "p50us", "p99us");
-  double epoch8 = 0, excl8 = 0;
-  RunTeardownSeries(cfg, /*epoch_reclaim=*/1, secs, &rows_out, &epoch8);
-  RunTeardownSeries(cfg, /*epoch_reclaim=*/0, secs, &rows_out, &excl8);
-  if (epoch8 > 0 && excl8 > 0) {
-    std::printf(
-        "# 8-thread abort-churn speedup, epoch reclamation vs exclusive "
-        "registry teardown: %.2fx\n",
-        epoch8 / excl8);
-  }
+  RunTeardownSeries(cfg, secs, &rows_out);
 
   WriteBenchJson("lockmgr", rows_out);
   return 0;

@@ -14,13 +14,12 @@
 // baseline always runs for comparison). Disjoint keys never conflict,
 // so any scaling gap is pure latch contention.
 //
-// Third section: conflict-graph locking A/B — the SSI mix on a tiny
-// (10-row) table, where nearly every transaction pair conflicts and
-// throughput is bounded by the rw-antidependency path, under
-// fine-grained per-xact edge locks (EngineConfig::conflict_lock_mode=1,
-// default) vs the old global conflict mutex (=0, the
-// --conflict-lock-mode flag pins the main sections' setting; the A/B
-// always runs both).
+// Third section: conflict-heavy scaling — the SSI mix on a tiny (10-row)
+// table, where nearly every transaction pair conflicts and throughput is
+// bounded by the rw-antidependency path.
+//
+// Fourth section: new-key insert storm — the structural index insert
+// path (gap probes, leaf locking, splits) under SERIALIZABLE.
 //
 // Emits BENCH_sibench.json (series/threads/throughput/abort rate/
 // latency percentiles per point) for the perf trajectory.
@@ -91,19 +90,13 @@ void RunDisjointWriteScaling(double secs, uint32_t stripes,
   }
 }
 
-// SSI mixed workload on a tiny table: a conflict-rate-bound series, run
-// under one conflict_lock_mode setting.
-void RunConflictHeavyScaling(double secs, uint32_t conflict_lock_mode,
-                             std::vector<BenchRow>* rows_out) {
+// SSI mixed workload on a tiny table: a conflict-rate-bound series.
+void RunConflictHeavyScaling(double secs, std::vector<BenchRow>* rows_out) {
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   const uint64_t rows = 10;
-  char series[48];
-  std::snprintf(series, sizeof(series), "conflict-heavy/conflict=%s",
-                conflict_lock_mode != 0 ? "fine" : "global");
+  const char* series = "conflict-heavy";
   for (int threads : thread_counts) {
-    DatabaseOptions opts = OptionsFor(Mode::kSSI);
-    opts.engine.conflict_lock_mode = conflict_lock_mode;
-    auto db = Database::Open(opts);
+    auto db = Database::Open(OptionsFor(Mode::kSSI));
     Sibench bench(db.get(), rows);
     if (!bench.Load().ok()) std::abort();
     DriverResult r = RunFixedDuration(
@@ -112,9 +105,7 @@ void RunConflictHeavyScaling(double secs, uint32_t conflict_lock_mode,
         },
         threads, secs);
     BenchRow row = RowFromDriver(series, threads, r);
-    row.extra = {{"rows", static_cast<double>(rows)},
-                 {"conflict_lock_mode",
-                  static_cast<double>(conflict_lock_mode)}};
+    row.extra = {{"rows", static_cast<double>(rows)}};
     rows_out->push_back(row);
     std::printf("%-26s %8d %12.0f %9.2f%% %10.1f %10.1f\n", series, threads,
                 row.ops_per_sec, row.abort_rate * 100, row.p50_us, row.p99_us);
@@ -125,24 +116,18 @@ void RunConflictHeavyScaling(double secs, uint32_t conflict_lock_mode,
 // New-key insert storm: SERIALIZABLE transactions each inserting a
 // batch of fresh (thread-disjoint, monotonically increasing) keys, so
 // every transaction exercises the structural insert path — gap probes,
-// leaf locking, splits. With index_olc=1 descent is latch-free and only
-// the touched leaves are locked; index_olc=0 serializes every insert on
-// the exclusive per-table index latch, so the scaling gap is pure index
-// latch contention.
-void RunInsertStormScaling(double secs, uint32_t index_olc,
-                           std::vector<BenchRow>* rows_out) {
+// leaf locking, splits. Descent is latch-free and only the touched
+// leaves are locked.
+void RunInsertStormScaling(double secs, std::vector<BenchRow>* rows_out) {
   const std::vector<int> thread_counts = {1, 2, 4, 8, 16};
-  char series[48];
-  std::snprintf(series, sizeof(series), "insert-storm/olc=%u", index_olc);
+  const char* series = "insert-storm";
   for (int threads : thread_counts) {
-    DatabaseOptions opts = OptionsFor(Mode::kSSI);
-    opts.engine.index_olc = index_olc;
-    auto db = Database::Open(opts);
+    auto db = Database::Open(OptionsFor(Mode::kSSI));
     TableId t;
     if (!db->CreateTable("storm", &t).ok()) std::abort();
     std::vector<uint64_t> next_key(static_cast<size_t>(threads), 0);
     // Retired-memory gauge: while the storm runs, sample the epoch
-    // limbo (plus legacy retained lists) so the JSON shows how much
+    // limbo so the JSON shows how much
     // unreclaimed garbage the workload carries at peak — and that it
     // returns to zero once the engine quiesces.
     std::atomic<bool> gauge_stop{false};
@@ -179,8 +164,7 @@ void RunInsertStormScaling(double secs, uint32_t index_olc,
     db->QuiesceEpochs();
     const size_t retired_after_quiesce = db->EpochRetiredObjectCount();
     BenchRow row = RowFromDriver(series, threads, r);
-    row.extra = {{"index_olc", static_cast<double>(index_olc)},
-                 {"keys_per_txn", 4.0},
+    row.extra = {{"keys_per_txn", 4.0},
                  {"retired_peak", static_cast<double>(
                                       retired_peak.load(std::memory_order_relaxed))},
                  {"retired_final", static_cast<double>(retired_final)},
@@ -199,20 +183,11 @@ void RunInsertStormScaling(double secs, uint32_t index_olc,
 
 int main(int argc, char** argv) {
   uint32_t heap_stripes = kHeapStripes;
-  uint32_t conflict_lock_mode = 1;
-  uint32_t index_olc = 1;
   for (int i = 1; i < argc; i++) {
     if (std::strncmp(argv[i], "--heap-stripes=", 15) == 0) {
       heap_stripes = static_cast<uint32_t>(std::atoi(argv[i] + 15));
-    } else if (std::strncmp(argv[i], "--conflict-lock-mode=", 21) == 0) {
-      conflict_lock_mode = static_cast<uint32_t>(std::atoi(argv[i] + 21));
-    } else if (std::strncmp(argv[i], "--index-olc=", 12) == 0) {
-      index_olc = static_cast<uint32_t>(std::atoi(argv[i] + 12));
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--heap-stripes=N] [--conflict-lock-mode=N] "
-                   "[--index-olc=N]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--heap-stripes=N]\n", argv[0]);
       return 2;
     }
   }
@@ -232,10 +207,7 @@ int main(int argc, char** argv) {
   for (uint64_t rows : sizes) {
     double si_throughput = 0;
     for (Mode m : modes) {
-      DatabaseOptions mode_opts = OptionsFor(m);
-      mode_opts.engine.conflict_lock_mode = conflict_lock_mode;
-      mode_opts.engine.index_olc = index_olc;
-      auto db = Database::Open(mode_opts);
+      auto db = Database::Open(OptionsFor(m));
       Sibench bench(db.get(), rows);
       Status st = bench.Load();
       if (!st.ok()) {
@@ -276,31 +248,15 @@ int main(int argc, char** argv) {
     RunDisjointWriteScaling(secs, 1, &rows_out);
   }
 
-  std::printf(
-      "\n# Conflict-graph locking A/B: SSI mix on a 10-row table "
-      "(fine per-xact edge locks vs global conflict mutex)\n");
-  if (hw < 2) {
-    std::printf(
-        "# NOTE: single-core machine — the conflict-path split cannot show "
-        "its multicore win here.\n");
-  }
+  std::printf("\n# Conflict-heavy scaling: SSI mix on a 10-row table\n");
   std::printf("%-26s %8s %12s %10s %10s %10s\n", "series", "threads", "txn/s",
               "abort%", "p50us", "p99us");
-  RunConflictHeavyScaling(secs, /*conflict_lock_mode=*/1, &rows_out);
-  RunConflictHeavyScaling(secs, /*conflict_lock_mode=*/0, &rows_out);
+  RunConflictHeavyScaling(secs, &rows_out);
 
-  std::printf(
-      "\n# Index OLC A/B: SERIALIZABLE new-key insert storm "
-      "(latch-free descent vs exclusive index latch)\n");
-  if (hw < 2) {
-    std::printf(
-        "# NOTE: single-core machine — the de-serialized insert path cannot "
-        "show its multicore win here.\n");
-  }
+  std::printf("\n# SERIALIZABLE new-key insert storm\n");
   std::printf("%-26s %8s %12s %10s %10s %10s\n", "series", "threads", "txn/s",
               "abort%", "p50us", "p99us");
-  RunInsertStormScaling(secs, /*index_olc=*/1, &rows_out);
-  RunInsertStormScaling(secs, /*index_olc=*/0, &rows_out);
+  RunInsertStormScaling(secs, &rows_out);
 
   WriteBenchJson("sibench", rows_out);
   return 0;

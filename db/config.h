@@ -67,22 +67,10 @@ struct EngineConfig {
 
   // Number of heap-latch stripes per table. Version chains hash (by
   // TupleId) onto stripes, so writers of independent keys take
-  // independent latches; only structural index operations (new-key
-  // insert, leaf split, aborted-insert removal) serialize on the
-  // table's index latch. Rounded up to a power of two internally;
+  // independent latches. Rounded up to a power of two internally;
   // 1 reproduces the old one-latch-per-table behavior (the
   // bench_sibench --heap-stripes=1 A/B baseline).
   uint32_t heap_stripes = kHeapStripes;
-
-  // Conflict-graph locking (the rw-antidependency edge lists, sticky
-  // summary flags, and dangerous-structure tests). 1 (default) = the
-  // PostgreSQL-style fine-grained design: a per-SerializableXact edge
-  // lock, acquired in ascending-xid order for the <=2 parties of an
-  // edge, with the registry lock taken shared on the flagging path and
-  // exclusive only for xact registration/teardown. 0 = the old design:
-  // one global mutex around every conflict-graph operation, kept as a
-  // same-binary A/B baseline (bench_lockmgr --conflict-lock-mode=0).
-  uint32_t conflict_lock_mode = 1;
 
   // Section 4: read-only snapshot ordering / safe snapshot optimizations.
   bool enable_read_only_opt = true;
@@ -99,28 +87,6 @@ struct EngineConfig {
   // Section 7.3: a write by the same transaction supersedes its own SIREAD
   // lock on that tuple (the write set is tracked anyway).
   bool enable_write_supersedes_siread = true;
-
-  // Optimistic lock coupling for index access. 1 (default) = latch-free
-  // B+-tree descent with version validation: readers and single-leaf
-  // inserts never touch the per-table index latch (index_mu); SIREAD
-  // acquisition follows the acquire-then-validate protocol (see
-  // index/btree.h) and aborted-insert index GC is deferred to
-  // RunSireadCleanup. 0 = the old regime: every index access wraps in
-  // index_mu (shared for reads/chain writes, exclusive for new-key
-  // insert and abort GC), kept as a same-binary A/B baseline
-  // (bench_sibench --index-olc=0).
-  uint32_t index_olc = 1;
-
-  // Epoch-based reclamation for conflict-graph xacts and index objects.
-  // 1 (default) = teardown unlinks under shared/sharded locks and hands
-  // freed memory to a grace-period limbo (util/epoch.h): Abort and
-  // Cleanup never take the xact-registry lock exclusive, and the OLC
-  // tree's retired entries / dead leaves are actually freed once every
-  // thread has passed the epoch. 0 = the old regime — exclusive
-  // registry teardown sweeps and type-stable index memory retired until
-  // tree destruction — kept as a same-binary A/B baseline
-  // (bench_lockmgr --epoch-reclaim=0).
-  uint32_t epoch_reclaim = 1;
 
   // Index-gap (phantom) lock granularity for scans.
   IndexGapLocking index_gap_locking = IndexGapLocking::kPage;
@@ -151,8 +117,9 @@ struct EngineConfig {
   // Row-lock wait ceiling (fallback; the wait-for graph detects real
   // deadlocks much sooner).
   uint64_t lock_wait_timeout_us = 2'000'000;
-  // How often a blocked locker re-runs deadlock detection. Also the
-  // deadline-poll interval for parked sessions with no wait token
+  // How long a blocking row-lock wait sleeps on its wait token before
+  // re-issuing the acquisition (which re-runs deadlock detection). Also
+  // the deadline-poll interval for parked sessions with no wait token
   // (DEFERRABLE safe-snapshot waits) and the net server's parked-session
   // re-check backstop.
   uint64_t deadlock_check_interval_us = 2'000;

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
-#include <optional>
 
 #include "util/clock.h"
 #include "util/failpoint.h"
@@ -26,18 +25,6 @@ constexpr size_t kPruneChainLength = 8;
 // hardcoded analogue of PostgreSQL's commit_delay (EngineConfig::
 // wal_fsync_batch plays commit_siblings' batching role).
 constexpr uint32_t kWalGroupWaitUs = 100;
-
-// RAII epoch-pin for tree descent/validate regions. Engaged only when the
-// database hands out a manager (epoch_reclaim != 0); in legacy mode the
-// tree's type-stable retained lists make pins unnecessary. Never hold one
-// of these across a blocking row-lock wait — a pinned-but-parked thread
-// stalls reclamation engine-wide.
-struct EpochPinScope {
-  explicit EpochPinScope(util::EpochManager* em) {
-    if (em != nullptr) pin.emplace(em);
-  }
-  std::optional<util::EpochManager::Pin> pin;
-};
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -158,7 +145,7 @@ Status Database::CreateTable(const std::string& name, TableId* id) {
   }
   TableId tid = static_cast<TableId>(tables_.size() + 1);
   auto t = std::make_unique<Table>(tid, name, opts_.engine.btree_fanout,
-                                   opts_.engine.heap_stripes, EpochForPins());
+                                   opts_.engine.heap_stripes, &epoch_);
   // Section 5.2.2: leaf splits transfer SIREAD predicate locks so moved
   // granules stay covered.
   t->index.SetSplitListener(
@@ -203,25 +190,18 @@ std::unique_ptr<Transaction> Database::Begin(const TxnOptions& opts) {
 
 void Database::RunSireadCleanup() {
   // Deferred aborted-insert GC rides along with Section 5.3 cleanup, so
-  // abort storms stop re-serializing inserts on the index latch.
-  if (opts_.engine.index_olc != 0) DrainIndexGc();
+  // abort storms keep it off the insert path.
+  DrainIndexGc();
   // Section 5.3 cleanup threshold; see TxnManager::CleanupBound for the
   // ordering argument that makes this safe to apply late.
   siread_.Cleanup(txn_mgr_.CleanupBound());
-}
-
-size_t Database::IndexRetiredObjectCount() const {
-  std::shared_lock<std::shared_mutex> l(tables_mu_);
-  size_t n = 0;
-  for (const auto& t : tables_) n += t->index.RetiredObjectCount();
-  return n;
 }
 
 void Database::QuiesceEpochs() {
   // Flush the deferred index GC first — it retires entries/leaves that
   // would otherwise still be queued (not yet in the limbo) when the
   // epoch manager sweeps.
-  if (opts_.engine.index_olc != 0) DrainIndexGc();
+  DrainIndexGc();
   siread_.Cleanup(txn_mgr_.CleanupBound());
   epoch_.Quiesce();
 }
@@ -275,7 +255,7 @@ void Database::DrainIndexGc() {
   std::vector<IndexGcRec> requeue;
   // Erase() descends optimistically before locking leaves; the descent
   // must be pinned so concurrently-retired nodes stay dereferenceable.
-  EpochPinScope pin(EpochForPins());
+  util::EpochManager::Pin pin(&epoch_);
   for (const IndexGcRec& rec : q) {
     Table* tbl = GetTable(rec.table);
     if (!tbl) continue;
@@ -441,31 +421,32 @@ Status Transaction::Start(bool non_blocking) {
 Status Transaction::AcquireRowLock(TableId table, const std::string& key,
                                    LockTable::Mode mode) {
   const EngineConfig& eng = db_->opts_.engine;
-  if (!non_blocking_) {
-    return db_->row_locks_.Acquire(xid_, table, key, mode,
-                                   eng.lock_wait_timeout_us,
-                                   eng.deadlock_check_interval_us);
-  }
-  // Session mode. The wait deadline spans suspensions: it anchors at the
-  // first would-block of this operation and is cleared when any lock
-  // acquisition for the op succeeds (on success the op either finishes
-  // or would-blocks on a LATER lock, restarting the clock — each lock in
-  // a multi-lock op gets its own full timeout, same as the blocking
-  // path).
-  const uint64_t now = NowMicros();
-  const bool timed_out = wait_started_us_ != 0 &&
-                         now > wait_started_us_ + eng.lock_wait_timeout_us;
-  auto token = std::make_shared<util::WaitToken>();
-  Status st =
-      db_->row_locks_.AcquireAsync(xid_, table, key, mode, timed_out, token);
-  if (st.code() == Code::kWouldBlock) {
+  // The wait deadline spans waits and suspensions: it anchors at the
+  // first would-block of this lock and is cleared when the acquisition
+  // succeeds (the op then either finishes or would-blocks on a LATER
+  // lock, restarting the clock — each lock in a multi-lock op gets its
+  // own full timeout).
+  for (;;) {
+    const uint64_t now = NowMicros();
+    const bool timed_out = wait_started_us_ != 0 &&
+                           now > wait_started_us_ + eng.lock_wait_timeout_us;
+    util::WaitTokenPtr token;
+    Status st =
+        db_->row_locks_.AcquireAsync(xid_, table, key, mode, timed_out, &token);
+    if (st.code() != Code::kWouldBlock) {
+      wait_started_us_ = 0;
+      wait_token_ = nullptr;
+      return st;
+    }
     if (wait_started_us_ == 0) wait_started_us_ = now;
-    wait_token_ = std::move(token);
-  } else {
-    wait_started_us_ = 0;
-    wait_token_ = nullptr;
+    if (non_blocking_) {
+      wait_token_ = std::move(token);
+      return st;
+    }
+    token->WaitFor(eng.deadlock_check_interval_us != 0
+                       ? eng.deadlock_check_interval_us
+                       : 1000);
   }
-  return st;
 }
 
 Transaction::~Transaction() {
@@ -505,47 +486,18 @@ void Transaction::AbortInternal() {
                             }),
              vs.end());
   };
-  const bool olc = db_->opts_.engine.index_olc != 0;
-  // Pin scoped to the rollback loop only (the inline index_olc=0 Erase
-  // descends the tree); released before RunSireadCleanup below so the
-  // cleanup's sweep isn't blocked by our own pin.
-  EpochPinScope pin(db_->EpochForPins());
   for (const WriteRec& w : writes_) {
     Database::Table* tbl = db_->GetTable(w.table);
     if (!tbl) continue;
-    if (!w.created) {
+    {
       std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(w.tid));
       erase_own(tbl->tuples[w.tid].versions);
-      continue;
     }
-    if (olc) {
-      // Deferred GC: only empty the chain here; the index erase (with
-      // its coverage transfer and chain recycle) runs in DrainIndexGc,
-      // off every other transaction's insert path.
-      {
-        std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(w.tid));
-        erase_own(tbl->tuples[w.tid].versions);
-      }
-      db_->EnqueueIndexGc(w.table, w.tid);
-      continue;
-    }
-    // index_olc=0: inline GC under the exclusive index latch (which also
-    // excludes every chain reader/writer). Only this transaction ever
-    // wrote the chain — the key's exclusive row lock is still held — so
-    // an empty chain after rollback means the entry can go. Erase is
-    // tid-guarded and runs the coverage-transfer hooks itself.
-    std::unique_lock<util::WpSharedMutex> il(tbl->index_mu);
-    Database::TupleChain& chain = tbl->tuples[w.tid];
-    erase_own(chain.versions);
-    if (!chain.versions.empty()) continue;
-    tbl->index.Erase(chain.key, w.tid, db_->MakeEraseHooks(tbl));
-    chain.key.clear();
-    {
-      std::lock_guard<std::mutex> al(tbl->alloc_mu);
-      tbl->free_chains.push_back(w.tid);
-    }
+    // Deferred GC for created chains: only empty the chain here; the
+    // index erase (with its coverage transfer and chain recycle) runs in
+    // DrainIndexGc, off every other transaction's insert path.
+    if (w.created) db_->EnqueueIndexGc(w.table, w.tid);
   }
-  pin.pin.reset();  // unpin before cleanup so the sweep can advance
   writes_.clear();
   if (sxact_) {
     db_->siread_.Abort(sxact_);  // frees the xact
@@ -555,10 +507,10 @@ void Transaction::AbortInternal() {
   db_->txn_mgr_.Abort(xid_);
   if (use_ssi_) {
     db_->RunSireadCleanup();
-  } else if (olc) {
+  } else {
     db_->DrainIndexGc();  // SI aborts must not strand their GC records
   }
-  if (db_->opts_.engine.epoch_reclaim != 0) db_->epoch_.AmortizedTick();
+  db_->epoch_.AmortizedTick();
   finished_ = true;
 }
 
@@ -695,7 +647,7 @@ Status Transaction::Commit() {
   }
   // SI-mode commits never reach Section 5.3 cleanup (the epoch sweep's
   // main driver), so nudge the limbo here too; amortized, O(1) usually.
-  if (db_->opts_.engine.epoch_reclaim != 0) db_->epoch_.AmortizedTick();
+  db_->epoch_.AmortizedTick();
   finished_ = true;
   return Status::OK();
 }
@@ -768,15 +720,13 @@ void Transaction::AcquireGapLock(Database::Table* tbl,
   // reader either holds coverage on a granule a concurrent structural
   // change will transfer correctly (splits/erases move coverage from
   // exactly these granules) or is about to retry; a failed attempt's
-  // lock is a conservative leftover, never a hole. With index_olc=0 the
-  // caller's shared index latch excludes structural changes and
-  // validation passes first try.
+  // lock is a conservative leftover, never a hole.
   const bool next_key_mode =
       db_->opts_.engine.index_gap_locking == IndexGapLocking::kNextKey;
   // Pin across resolve→acquire→Validate: Validate dereferences the nodes
   // the ReadView witnessed, so the pin must span the whole attempt (and
   // nests harmlessly under a caller's pin).
-  EpochPinScope pin(db_->EpochForPins());
+  util::EpochManager::Pin pin(&db_->epoch_);
   for (;;) {
     BTree::ReadView rv;
     if (next_key_mode) {
@@ -827,13 +777,10 @@ Status Transaction::Get(TableId table, const std::string& key,
     }
   }
 
-  const bool olc = db_->opts_.engine.index_olc != 0;
-  // Pin the whole lookup→track→Validate region (taken after the blocking
-  // row-lock wait above, never across it).
-  EpochPinScope pin(db_->EpochForPins());
+  // Pin the whole lookup→track→Validate region (taken after the row-lock
+  // wait above, never across it).
+  util::EpochManager::Pin pin(&db_->epoch_);
   for (;;) {
-    std::shared_lock<util::WpSharedMutex> il;
-    if (!olc) il = std::shared_lock<util::WpSharedMutex>(tbl->index_mu);
     BTree::ReadView rv;
     TupleId tid;
     PageId page;
@@ -843,7 +790,7 @@ Status Transaction::Get(TableId table, const std::string& key,
       // (self-validating), then confirm the miss itself wasn't raced by
       // an insert of this very key.
       AcquireGapLock(tbl, key);
-      if (olc && !tbl->index.Validate(rv)) continue;
+      if (!tbl->index.Validate(rv)) continue;
       return Status::NotFound("key " + key);
     }
     std::shared_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid));
@@ -853,7 +800,7 @@ Status Transaction::Get(TableId table, const std::string& key,
     // Validate AFTER the SIREAD acquire: if a split moved the granule
     // meanwhile, the lock just taken was transferred (or is a harmless
     // conservative leftover) and the retry re-locks the new coordinates.
-    if (olc && !tbl->index.Validate(rv)) continue;
+    if (!tbl->index.Validate(rv)) continue;
     if (vi < 0 || chain.versions[static_cast<size_t>(vi)].deleted) {
       return Status::NotFound("key " + key);
     }
@@ -884,8 +831,7 @@ Status Transaction::ScanInternal(
     // then re-read values under the locks.
     std::vector<std::string> keys;
     {
-      EpochPinScope pin(db_->EpochForPins());
-      std::shared_lock<util::WpSharedMutex> il(tbl->index_mu);
+      util::EpochManager::Pin pin(&db_->epoch_);
       tbl->index.Scan(lo, hi,
                       [&](const std::string& k, TupleId, PageId, uint32_t) {
                         keys.push_back(k);
@@ -904,10 +850,8 @@ Status Transaction::ScanInternal(
         return st;
       }
     }
-    // Pinned re-read; the blocking per-key lock waits above stay
-    // unpinned.
-    EpochPinScope pin(db_->EpochForPins());
-    std::shared_lock<util::WpSharedMutex> il(tbl->index_mu);
+    // Pinned re-read; the per-key lock waits above stay unpinned.
+    util::EpochManager::Pin pin(&db_->epoch_);
     for (const std::string& k : keys) {
       TupleId tid;
       PageId page;
@@ -927,15 +871,10 @@ Status Transaction::ScanInternal(
   // consistent snapshot of one leaf, witnessed by a ReadView. SIREAD
   // tracking follows acquire-then-validate — locks land before the view
   // is validated, results are emitted only after it passes, and a failed
-  // validation redoes the same batch (cur is unchanged). With
-  // index_olc=0 the shared index latch excludes structural changes and
-  // every validation passes first try.
-  const bool olc = db_->opts_.engine.index_olc != 0;
+  // validation redoes the same batch (cur is unchanged).
   // One pin for the whole scan: a long scan stretches grace periods
   // rather than risking a batch's ReadView outliving its leaf.
-  EpochPinScope pin(db_->EpochForPins());
-  std::shared_lock<util::WpSharedMutex> il;
-  if (!olc) il = std::shared_lock<util::WpSharedMutex>(tbl->index_mu);
+  util::EpochManager::Pin pin(&db_->epoch_);
   const bool track = sxact_ && !sxact_->safe_snapshot;
   const bool next_key_mode =
       db_->opts_.engine.index_gap_locking == IndexGapLocking::kNextKey;
@@ -972,7 +911,7 @@ Status Transaction::ScanInternal(
         AcquireGapLock(tbl, hi);
       }
     }
-    if (olc && !tbl->index.Validate(rv)) continue;  // redo this batch
+    if (!tbl->index.Validate(rv)) continue;  // redo this batch
     for (const auto& kv : emit) fn(kv.first, kv.second);
     if (!more) return Status::OK();
     cur = batch.keys.back() + '\0';
@@ -1014,10 +953,9 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
   if (!tbl) return Status::InvalidArgument("no such table");
   SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
 
-  // Row lock first (never while holding the index latch or a stripe). For
-  // SI/SSI this
-  // is the blocking half of first-updater-wins; for S2PL it is the
-  // exclusive lock held to commit.
+  // Row lock first (never while holding a stripe or an epoch pin). For
+  // SI/SSI this is the blocking half of first-updater-wins; for S2PL it
+  // is the exclusive lock held to commit.
   st = AcquireRowLock(table, key, LockTable::Mode::kExclusive);
   // Would-block precedes every mutation: the session re-issues this
   // write verbatim on wakeup (the key lock, once granted, stays held).
@@ -1033,7 +971,7 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
     // because we already hold the key's exclusive lock.
     bool exists;
     {
-      std::shared_lock<util::WpSharedMutex> il(tbl->index_mu);
+      util::EpochManager::Pin pin(&db_->epoch_);
       exists = tbl->index.Lookup(key, nullptr, nullptr, nullptr);
     }
     if (!exists || deleted) {
@@ -1048,22 +986,18 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
   }
 
   // Existing chain: a single-chain write — the chain's stripe held
-  // exclusively (plus, with index_olc=0, a shared index pass). Writers
-  // of independent keys land on independent stripes and run
-  // concurrently. With index_olc=1 the lookup is validated after the
+  // exclusively. Writers of independent keys land on independent
+  // stripes and run concurrently. The lookup is validated after the
   // stripe is taken: a GC erase of this key's aborted entry holds the
   // stripe across its Erase, so a stale hit either blocks until the
   // erase's version bump lands (and restarts into the new-key path) or
   // won the stripe first (and the GC record gets re-enqueued).
-  const bool olc = db_->opts_.engine.index_olc != 0;
   // Pin from here to the end of the function: the existing-chain loop's
   // ReadView spans lookup→probe→Validate, and the new-key path's
-  // InsertGuarded descends optimistically. The blocking row-lock waits
-  // all happened above, so the pin never parks.
-  EpochPinScope pin(db_->EpochForPins());
+  // InsertGuarded descends optimistically. The row-lock waits all
+  // happened above, so the pin never parks.
+  util::EpochManager::Pin pin(&db_->epoch_);
   for (;;) {
-    std::shared_lock<util::WpSharedMutex> il;
-    if (!olc) il = std::shared_lock<util::WpSharedMutex>(tbl->index_mu);
     BTree::ReadView rv;
     TupleId tid;
     PageId page;
@@ -1074,13 +1008,13 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
         // key would occupy — lock it exactly as a Get miss does, so a
         // concurrent insert of this key produces the required rw edge.
         AcquireGapLock(tbl, key);
-        if (olc && !tbl->index.Validate(rv)) continue;
+        if (!tbl->index.Validate(rv)) continue;
         return Status::NotFound("key " + key);
       }
       break;  // new key: fall through to the insert path
     }
     std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid));
-    if (olc && !tbl->index.Validate(rv)) continue;  // entry moved/erased
+    if (!tbl->index.Validate(rv)) continue;  // entry moved/erased
     Database::TupleChain& chain = tbl->tuples[tid];
     if (!use_s2pl_) {
       // First-updater-wins: a version committed after our snapshot means
@@ -1088,7 +1022,6 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
       for (const auto& v : chain.versions) {
         if (v.commit_seq > snapshot_seq_ && v.commit_seq != 0) {
           sl.unlock();
-          if (il.owns_lock()) il.unlock();
           db_->ww_aborts_.fetch_add(1, std::memory_order_relaxed);
           AbortInternal();
           return Status::SerializationFailure(
@@ -1107,7 +1040,7 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
       // tracked), or a concurrent delete/insert of this key misses the
       // required rw edge and write skew can commit.
       TrackRead(tbl, chain, vi, page, slot);
-      if (olc && !tbl->index.Validate(rv)) {
+      if (!tbl->index.Validate(rv)) {
         sl.unlock();
         continue;  // granule moved mid-track: re-resolve and re-lock
       }
@@ -1127,12 +1060,11 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
       }
       if (db_->siread_.Doomed(sxact_)) {
         sl.unlock();
-        if (il.owns_lock()) il.unlock();
         AbortInternal();
         return Status::SerializationFailure(
             "canceled due to rw-antidependency conflict");
       }
-      if (olc && !tbl->index.Validate(rv)) {
+      if (!tbl->index.Validate(rv)) {
         // A split relocated the granule mid-probe: the probe may have
         // missed a reader that locked the NEW coordinates. Redo it.
         sl.unlock();
@@ -1162,12 +1094,10 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
   // New key: a structural change (index insert, possible leaf split, gap
   // probes). The key's exclusive row lock (held since the preamble) pins
   // its (non)existence, so the miss observed above cannot have been
-  // raced by another inserter of the SAME key. With index_olc=1 this
-  // path never touches index_mu: InsertGuarded locks only the gap's
-  // leaves and runs the SIREAD gap probe + coverage transfer under those
-  // leaf locks (probe may run multiple times across restarts —
-  // idempotent; transfer runs exactly once). With index_olc=0 the
-  // exclusive index latch reproduces the old serialization.
+  // raced by another inserter of the SAME key. InsertGuarded locks only
+  // the gap's leaves and runs the SIREAD gap probe + coverage transfer
+  // under those leaf locks (probe may run multiple times across
+  // restarts — idempotent; transfer runs exactly once).
   const bool next_key_mode =
       db_->opts_.engine.index_gap_locking == IndexGapLocking::kNextKey;
   // Chain first, index second: the chain must be fully populated before
@@ -1192,8 +1122,6 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
     chain.key = key;
     chain.versions.push_back(Database::Version{value, xid_, 0, false});
   }
-  std::unique_lock<util::WpSharedMutex> il2;
-  if (!olc) il2 = std::unique_lock<util::WpSharedMutex>(tbl->index_mu);
   BTree::InsertHooks hooks;
   if (sxact_) {
     hooks.probe = [&](const std::vector<PageId>& probe_pages, bool has_next,
@@ -1252,7 +1180,6 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
       std::lock_guard<std::mutex> al(tbl->alloc_mu);
       tbl->free_chains.push_back(tid2);
     }
-    if (il2.owns_lock()) il2.unlock();
     AbortInternal();
     return Status::SerializationFailure(
         "canceled due to rw-antidependency conflict");

@@ -1,9 +1,6 @@
 #include "db/lock_table.h"
 
 #include <algorithm>
-#include <chrono>
-
-#include "util/clock.h"
 
 namespace pgssi {
 
@@ -83,20 +80,19 @@ void LockTable::MaybeEraseLocked(const Key& k) {
   auto lit = locks_.find(k);
   if (lit == locks_.end()) return;
   const Entry& e = lit->second;
-  if (e.exclusive == 0 && e.sharers.empty() && e.waiters == 0 &&
-      e.async_waiters.empty()) {
+  if (e.exclusive == 0 && e.sharers.empty() && e.waiters.empty()) {
     locks_.erase(lit);
   }
 }
 
-void LockTable::DeregisterAsyncLocked(XactId xid) {
-  auto wit = async_wait_key_.find(xid);
-  if (wit == async_wait_key_.end()) return;
+void LockTable::DeregisterLocked(XactId xid) {
+  auto wit = wait_key_.find(xid);
+  if (wit == wait_key_.end()) return;
   Key k = wit->second;
-  async_wait_key_.erase(wit);
+  wait_key_.erase(wit);
   auto lit = locks_.find(k);
   if (lit != locks_.end()) {
-    lit->second.async_waiters.erase(xid);
+    lit->second.waiters.erase(xid);
     MaybeEraseLocked(k);
   }
   waits_for_.erase(xid);
@@ -104,8 +100,7 @@ void LockTable::DeregisterAsyncLocked(XactId xid) {
 
 Status LockTable::AcquireAsync(XactId xid, TableId table,
                                const std::string& key, Mode mode,
-                               bool timed_out,
-                               const util::WaitTokenPtr& token) {
+                               bool timed_out, util::WaitTokenPtr* token) {
   util::WaitTokenPtr victim_token;
   Status st;
   {
@@ -113,7 +108,7 @@ Status LockTable::AcquireAsync(XactId xid, TableId table,
     Key k{table, key};
     Entry& e = locks_[k];
     if (CanGrant(e, xid, mode)) {
-      DeregisterAsyncLocked(xid);
+      DeregisterLocked(xid);
       if (mode == Mode::kShared) {
         if (e.exclusive != xid && e.sharers.insert(xid).second) {
           held_[xid].push_back(k);
@@ -127,36 +122,33 @@ Status LockTable::AcquireAsync(XactId xid, TableId table,
       }
       st = Status::OK();
     } else if (timed_out) {
-      DeregisterAsyncLocked(xid);
+      DeregisterLocked(xid);
       MaybeEraseLocked(k);
       st = Status::SerializationFailure("lock wait timeout");
     } else {
       // A retry on a different key than the previous registration (the
       // session abandoned an op) must not leak the old waiter slot.
-      auto wit = async_wait_key_.find(xid);
-      if (wit != async_wait_key_.end() && wit->second != k) {
-        DeregisterAsyncLocked(xid);
-      }
+      auto wit = wait_key_.find(xid);
+      if (wit != wait_key_.end() && wit->second != k) DeregisterLocked(xid);
       Blockers(e, xid, &waits_for_[xid]);
-      e.async_waiters[xid] = token;
-      async_wait_key_[xid] = k;
+      *token = std::make_shared<util::WaitToken>();
+      e.waiters[xid] = *token;
+      wait_key_[xid] = k;
       XactId victim = CycleVictim(xid);
       if (victim == xid) {
-        DeregisterAsyncLocked(xid);
+        DeregisterLocked(xid);
         MaybeEraseLocked(k);
         st = Status::SerializationFailure("deadlock detected");
       } else {
         if (victim != 0) {
-          // The victim is some other cycle member. If it is parked
-          // async it has no wakeup tick of its own — signal it so it
-          // retries and discovers victimhood. (A blocking waiter
-          // re-checks on its interval tick; no action needed.)
-          auto vit = async_wait_key_.find(victim);
-          if (vit != async_wait_key_.end()) {
+          // The victim is some other cycle member: signal it so it
+          // re-issues and discovers victimhood.
+          auto vit = wait_key_.find(victim);
+          if (vit != wait_key_.end()) {
             auto vlit = locks_.find(vit->second);
             if (vlit != locks_.end()) {
-              auto tit = vlit->second.async_waiters.find(victim);
-              if (tit != vlit->second.async_waiters.end()) {
+              auto tit = vlit->second.waiters.find(victim);
+              if (tit != vlit->second.waiters.end()) {
                 victim_token = tit->second;
               }
             }
@@ -168,43 +160,6 @@ Status LockTable::AcquireAsync(XactId xid, TableId table,
   }
   if (victim_token) victim_token->Signal();
   return st;
-}
-
-Status LockTable::Acquire(XactId xid, TableId table, const std::string& key,
-                          Mode mode, uint64_t timeout_us,
-                          uint64_t check_interval_us) {
-  std::unique_lock<std::mutex> l(mu_);
-  Entry& e = locks_[{table, key}];
-  const uint64_t deadline = NowMicros() + timeout_us;
-  while (!CanGrant(e, xid, mode)) {
-    e.waiters++;
-    Blockers(e, xid, &waits_for_[xid]);
-    if (IsDeadlockVictim(xid)) {
-      waits_for_.erase(xid);
-      e.waiters--;
-      return Status::SerializationFailure("deadlock detected");
-    }
-    cv_.wait_for(l, std::chrono::microseconds(
-                        check_interval_us ? check_interval_us : 1000));
-    e.waiters--;
-    if (NowMicros() > deadline && !CanGrant(e, xid, mode)) {
-      waits_for_.erase(xid);
-      return Status::SerializationFailure("lock wait timeout");
-    }
-  }
-  waits_for_.erase(xid);
-  if (mode == Mode::kShared) {
-    if (e.exclusive != xid && e.sharers.insert(xid).second) {
-      held_[xid].push_back({table, key});
-    }
-  } else {
-    if (e.exclusive != xid) {
-      e.sharers.erase(xid);  // shared -> exclusive upgrade in place
-      e.exclusive = xid;
-      held_[xid].push_back({table, key});
-    }
-  }
-  return Status::OK();
 }
 
 void LockTable::ReleaseAll(XactId xid) {
@@ -219,26 +174,23 @@ void LockTable::ReleaseAll(XactId xid) {
         Entry& e = lit->second;
         if (e.exclusive == xid) e.exclusive = 0;
         e.sharers.erase(xid);
-        // Wake and deregister every async waiter parked on this key;
-        // each re-issues AcquireAsync and re-registers if still blocked
-        // (stale wait-for edges would otherwise fake deadlock cycles).
-        for (auto& [w, tok] : e.async_waiters) {
+        // Wake and deregister every waiter on this key; each re-issues
+        // AcquireAsync and re-registers if still blocked (stale wait-for
+        // edges would otherwise fake deadlock cycles).
+        for (auto& [w, tok] : e.waiters) {
           wake.push_back(tok);
-          async_wait_key_.erase(w);
+          wait_key_.erase(w);
           waits_for_.erase(w);
         }
-        e.async_waiters.clear();
-        if (e.exclusive == 0 && e.sharers.empty() && e.waiters == 0) {
-          locks_.erase(lit);
-        }
+        e.waiters.clear();
+        if (e.exclusive == 0 && e.sharers.empty()) locks_.erase(lit);
       }
       held_.erase(it);
     }
-    // xid itself may be async-parked (session aborted mid-wait).
-    DeregisterAsyncLocked(xid);
+    // xid itself may be registered as a waiter (aborted mid-wait).
+    DeregisterLocked(xid);
     waits_for_.erase(xid);
   }
-  cv_.notify_all();
   // Tokens signaled outside mu_: callbacks (net-server requeue) must
   // never run under the lock-table mutex (lock order: token cb may take
   // the server run-queue mutex, never the reverse).

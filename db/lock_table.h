@@ -1,4 +1,4 @@
-// Blocking row-lock table.
+// Row-lock table.
 //
 // Used two ways:
 //  - SI/SSI writers take per-key exclusive locks, giving PostgreSQL-style
@@ -9,13 +9,17 @@
 //    coarse table-gap lock, all held to commit — the strict two-phase
 //    locking baseline of the paper's figures.
 //
-// Deadlocks are detected by each blocked locker on its wakeup ticks: it
-// computes its strongly connected component of the wait-for graph, which
-// covers every cycle it participates in; the victim is the youngest
-// (highest xid) member, which returns kSerializationFailure.
+// There is one acquisition path, AcquireAsync: it grants, or registers
+// the caller as a waiter with a fresh wake-up token. A Session parks on
+// the token; a blocking Transaction waits on it for at most
+// deadlock_check_interval_us and then re-issues the call. Deadlocks are
+// detected at every registration: the registrant computes its strongly
+// connected component of the wait-for graph, which covers every cycle it
+// participates in; the victim is the youngest (highest xid) member. A
+// victim registrant fails with kSerializationFailure at once; any other
+// victim has its token signaled, so its re-issue discovers victimhood.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -34,26 +38,17 @@ class LockTable {
  public:
   enum class Mode { kShared, kExclusive };
 
-  /// Blocks until granted, deadlock victimhood, or timeout. Re-entrant;
-  /// shared->exclusive upgrade is supported (sole sharer upgrades in
-  /// place; otherwise waits for the other sharers).
-  Status Acquire(XactId xid, TableId table, const std::string& key, Mode mode,
-                 uint64_t timeout_us, uint64_t check_interval_us);
-
-  /// Non-blocking grant-or-register: grants immediately when possible,
-  /// otherwise registers `token` as an async waiter on the key and
-  /// returns kWouldBlock. The token is signaled (once) when a holder
-  /// releases the key — a wake is permission to retry AcquireAsync, not
-  /// a grant. Deadlocks are checked at registration time: if the caller
-  /// is the cycle victim it fails immediately; if another *parked async*
-  /// xact is the victim, that xact's token is signaled so it wakes,
-  /// retries, and discovers its own victimhood (blocked threads in the
-  /// blocking path re-check on their own wakeup ticks). Callers enforce
-  /// their own lock-wait deadline by passing `timed_out`, which converts
-  /// a would-block into a serialization failure.
+  /// Non-blocking grant-or-register. Re-entrant; shared->exclusive
+  /// upgrade is supported (sole sharer upgrades in place; otherwise waits
+  /// for the other sharers). Grants immediately when possible; otherwise
+  /// registers the caller as a waiter on the key, stores a fresh token
+  /// in *token, and returns kWouldBlock. The token is signaled (once)
+  /// when a holder releases the key or the caller becomes a deadlock
+  /// victim — a wake is permission to retry, not a grant. Callers
+  /// enforce their own lock-wait deadline by passing `timed_out`, which
+  /// converts a would-block into a serialization failure.
   Status AcquireAsync(XactId xid, TableId table, const std::string& key,
-                      Mode mode, bool timed_out,
-                      const util::WaitTokenPtr& token);
+                      Mode mode, bool timed_out, util::WaitTokenPtr* token);
 
   void ReleaseAll(XactId xid);
 
@@ -63,10 +58,9 @@ class LockTable {
   struct Entry {
     XactId exclusive = 0;
     std::unordered_set<XactId> sharers;
-    int waiters = 0;
-    // Parked sessions (one op in flight per session, so at most one
-    // registration per xid engine-wide, tracked in async_wait_key_).
-    std::unordered_map<XactId, util::WaitTokenPtr> async_waiters;
+    // Registered waiters (one op in flight per xact, so at most one
+    // registration per xid engine-wide, tracked in wait_key_).
+    std::unordered_map<XactId, util::WaitTokenPtr> waiters;
   };
   using Key = std::pair<TableId, std::string>;
 
@@ -77,21 +71,17 @@ class LockTable {
   // not on any cycle. Every member of a deadlock computes the same
   // victim (max xid of the strongly connected component).
   XactId CycleVictim(XactId self) const;
-  bool IsDeadlockVictim(XactId self) const {
-    return CycleVictim(self) == self;
-  }
-  // Removes xid's async registration (entry waiter slot + index + wait
+  // Removes xid's waiter registration (entry waiter slot + index + wait
   // edges). Caller holds mu_.
-  void DeregisterAsyncLocked(XactId xid);
+  void DeregisterLocked(XactId xid);
   void MaybeEraseLocked(const Key& k);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::map<Key, Entry> locks_;
   std::unordered_map<XactId, std::vector<Key>> held_;
   std::unordered_map<XactId, std::vector<XactId>> waits_for_;
-  // xid -> key it is async-parked on (at most one per xid).
-  std::unordered_map<XactId, Key> async_wait_key_;
+  // xid -> key it is registered as a waiter on (at most one per xid).
+  std::unordered_map<XactId, Key> wait_key_;
 };
 
 }  // namespace pgssi

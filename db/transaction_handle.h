@@ -31,7 +31,6 @@
 #include "util/status.h"
 #include "util/striped_latch.h"
 #include "util/wait_token.h"
-#include "util/wp_shared_mutex.h"
 #include "util/types.h"
 #include "wal/wal_recovery.h"
 #include "wal/wal_writer.h"
@@ -110,19 +109,8 @@ class Database {
   /// and the cumulative freed-for-real count. The reclamation regression
   /// asserts retired drains to 0 after quiesce; the bench samples it as
   /// a retired-memory gauge.
-  size_t EpochRetiredObjectCount() const {
-    return epoch_.RetiredObjectCount() + IndexRetiredObjectCount();
-  }
+  size_t EpochRetiredObjectCount() const { return epoch_.RetiredObjectCount(); }
   uint64_t EpochFreedObjectCount() const { return epoch_.FreedObjectCount(); }
-  /// Exclusive acquisitions of the SIREAD xact-registry lock — the
-  /// epoch-mode audit counter (must not grow during teardown churn).
-  uint64_t SireadRegistryExclusiveAcquires() const {
-    return siread_.registry_exclusive_acquires();
-  }
-  /// Objects (retired index entries + dead leaves) every table's tree is
-  /// still holding: limbo-resident in epoch mode, type-stable-retained
-  /// in legacy mode.
-  size_t IndexRetiredObjectCount() const;
   /// Drive the epoch machinery to a fully drained limbo. Quiescent
   /// points only (no concurrent transactions).
   void QuiesceEpochs();
@@ -147,7 +135,7 @@ class Database {
   };
   // Lock-free-read segmented chain storage (replaces std::deque):
   // resolving a TupleId is two atomic loads and never takes a latch, so
-  // OLC-mode inserts can append chains while readers resolve others.
+  // inserts can append chains while readers resolve others.
   // Segments are allocated under Table::alloc_mu and never freed or
   // moved until destruction; a TupleId resolved once stays valid.
   class ChainStore {
@@ -182,20 +170,10 @@ class Database {
     mutable std::array<std::atomic<TupleChain*>, kMaxSegs> segs_;
     std::atomic<size_t> size_{0};
   };
-  // Table latching (lock order, outermost first: row locks > index_mu
-  // [index_olc=0 only] > heap stripe > B+-tree structure lock > leaf
-  // version locks (chain order) > alloc_mu > SIREAD partition >
-  // per-xact spinlocks/edge locks):
-  //  - index_mu exists for the index_olc=0 A/B baseline only: readers
-  //    and single-chain writers take it SHARED, structural operations
-  //    (new-key insert, aborted-insert GC) take it exclusive. It is a
-  //    WRITER-PREFERRING latch (util/wp_shared_mutex.h): glibc's
-  //    reader-preferring rwlock let free-running scanners starve an
-  //    insert forever, and the starved insert's open snapshot froze the
-  //    SIREAD cleanup bound — unbounded holder-list growth, livelock.
-  //    Its shared scopes must stay flat (no recursive shared
-  //    acquisition) — see the contract in wp_shared_mutex.h. With
-  //    index_olc=1 nothing acquires it: descent is latch-free and
+  // Table latching (lock order, outermost first: row locks > heap
+  // stripe > B+-tree structure lock > leaf version locks (chain order) >
+  // alloc_mu > SIREAD partition > per-xact spinlocks/edge locks):
+  //  - the index has no table-wide latch: descent is latch-free and
   //    validated, inserts lock only the touched leaves (see
   //    index/btree.h for the acquire-then-validate protocol).
   //  - heap_latch stripes (hash of TupleId) guard chain content: chain
@@ -203,14 +181,13 @@ class Database {
   //    is what lets writers of independent keys run concurrently.
   //  - alloc_mu guards ChainStore::Append and free_chains. free_chains
   //    recycles TupleIds of chains whose creating insert aborted; a
-  //    chain enters it only AFTER its index entry is gone (inline with
-  //    rollback when index_olc=0, in DrainIndexGc when index_olc=1).
-  //  - epoch pins (EngineConfig::epoch_reclaim, not locks, no order):
-  //    every region that descends or validates against the B+-tree, and
-  //    every tree-mutating region, runs under an EpochManager::Pin so
-  //    epoch-retired entries/nodes stay dereferenceable until the region
-  //    ends. Pins are never held across a blocking row-lock wait (that
-  //    would stall reclamation for the whole engine).
+  //    chain enters it only AFTER DrainIndexGc erased its index entry.
+  //  - epoch pins (not locks, no order): every region that descends or
+  //    validates against the B+-tree, and every tree-mutating region,
+  //    runs under an EpochManager::Pin so epoch-retired entries/nodes
+  //    stay dereferenceable until the region ends. Pins are never held
+  //    across a row-lock wait (that would stall reclamation for the
+  //    whole engine).
   struct Table {
     Table(TableId i, std::string n, uint32_t fanout, uint32_t stripes,
           util::EpochManager* epoch)
@@ -220,7 +197,6 @@ class Database {
           heap_latch(stripes) {}
     TableId id;
     std::string name;
-    mutable util::WpSharedMutex index_mu;
     BTree index;  // key -> TupleId (+ page/slot granule)
     ChainStore tuples;
     std::mutex alloc_mu;
@@ -231,11 +207,6 @@ class Database {
   explicit Database(const DatabaseOptions& opts);
   Table* GetTable(TableId id) const;
   void RunSireadCleanup();
-  /// The manager tree descents must pin against, or null when epoch
-  /// reclamation is off (legacy type-stable memory needs no pins).
-  util::EpochManager* EpochForPins() {
-    return opts_.engine.epoch_reclaim != 0 ? &epoch_ : nullptr;
-  }
 
   // ----- durability (wal/) -----
   // Scan + replay + writer reopen; called once from Open, before any
@@ -245,10 +216,10 @@ class Database {
   Status InitWal();
   Status ReplayRecovered(const wal::WalScanResult& scan);
 
-  // Deferred aborted-insert index GC (index_olc=1): rollback of a
-  // created chain only empties it and enqueues a record here; the erase
-  // (+ coverage transfer + chain recycle) happens in DrainIndexGc, off
-  // the insert path. A record whose chain got re-populated meanwhile is
+  // Deferred aborted-insert index GC: rollback of a created chain only
+  // empties it and enqueues a record here; the erase (+ coverage
+  // transfer + chain recycle) happens in DrainIndexGc, off the insert
+  // path. A record whose chain got re-populated meanwhile is
   // re-enqueued (uncommitted writer) or dropped (committed — the chain
   // is live again).
   struct IndexGcRec {
@@ -344,14 +315,16 @@ class Transaction {
 
   Status CheckActive();
   void AbortInternal();
-  /// All five row-lock call sites funnel through here. Blocking mode
-  /// wraps LockTable::Acquire unchanged. Non-blocking mode (sessions)
-  /// uses AcquireAsync: on conflict it parks a fresh WaitToken in
-  /// wait_token_ and returns kWouldBlock — crucially BEFORE any
-  /// mutation, epoch pin, or latch is taken, so the caller can simply
-  /// re-issue the same operation after the token fires (Acquire is
-  /// re-entrant; already-granted locks are kept). The lock-wait
-  /// deadline spans suspensions via wait_started_us_.
+  /// All five row-lock call sites funnel through here, onto
+  /// LockTable::AcquireAsync. Non-blocking mode (sessions): on conflict
+  /// the WaitToken parks in wait_token_ and kWouldBlock returns —
+  /// crucially BEFORE any mutation, epoch pin, or latch is taken, so the
+  /// caller can simply re-issue the same operation after the token fires
+  /// (acquisition is re-entrant; already-granted locks are kept).
+  /// Blocking mode waits on the token for at most
+  /// deadlock_check_interval_us, then re-issues (re-running the blocker
+  /// set and cycle test). The lock-wait deadline spans waits and
+  /// suspensions via wait_started_us_.
   Status AcquireRowLock(TableId table, const std::string& key,
                         LockTable::Mode mode);
   // Serializes this transaction's write set into a kCommit payload (seq
@@ -375,8 +348,7 @@ class Transaction {
   // SIREAD-lock the gap `key` falls into (next-key tuple or leaf page,
   // per EngineConfig::index_gap_locking). Self-validating: resolves the
   // gap optimistically, acquires, then validates the index view and
-  // retries on mismatch (a no-op spin when index_olc=0, where the
-  // caller's shared index latch excludes structural changes).
+  // retries on mismatch.
   void AcquireGapLock(Database::Table* tbl, const std::string& key);
 
   Database* db_;

@@ -7,8 +7,8 @@
 namespace pgssi {
 
 // An index entry. Immutable once published into a leaf's entry array;
-// retired (never freed) on erase so latch-free readers can always
-// dereference a pointer they loaded from a slot.
+// retired through the epoch limbo on erase, so a pinned latch-free
+// reader can always dereference a pointer it loaded from a slot.
 struct BTree::Entry {
   std::string key;
   TupleId tid;
@@ -22,9 +22,6 @@ struct BTree::Node {
   std::atomic<uint64_t> version{0};
   const bool leaf;
   Inner* parent = nullptr;  // maintained and read only under structure_mu_
-  // Position in all_nodes_ (registry_mu_), so epoch-mode retirement can
-  // unlink a node in O(1).
-  size_t registry_idx = 0;
   explicit Node(bool l) : leaf(l) {}
 };
 
@@ -39,8 +36,8 @@ struct BTree::Leaf : Node {
   std::atomic<uint32_t> count{0};
   std::unique_ptr<std::atomic<Entry*>[]> entries;  // sorted [0, count)
   std::atomic<Leaf*> next{nullptr};
-  // Unlinked from the chain (awaiting reuse by a future split). Set and
-  // cleared under this leaf's write lock + structure_mu_.
+  // Unlinked from the chain and retired. Set under this leaf's write
+  // lock + structure_mu_.
   std::atomic<bool> dead{false};
   // Next slot number to hand out; slot numbers are never reused within
   // one page lifetime. Written only under this leaf's write lock.
@@ -120,52 +117,33 @@ BTree::BTree(uint32_t fanout, util::EpochManager* epoch)
   Leaf* l = new Leaf(leaf_cap_);
   l->page_id.store(next_page_id_.fetch_add(1, std::memory_order_relaxed),
                    std::memory_order_relaxed);
-  RegisterNode(l);
   root_.store(l, std::memory_order_release);
 }
 
-BTree::~BTree() {
-  // Entries are uniquely owned either by a live slot ([0, count) of some
-  // node — split leftovers beyond count are stale duplicates) or by the
-  // retired list.
-  for (Node* n : all_nodes_) {
-    if (n->leaf) {
-      Leaf* l = static_cast<Leaf*>(n);
-      uint32_t c = l->count.load(std::memory_order_relaxed);
-      for (uint32_t i = 0; i < c && i < leaf_cap_; i++) {
-        delete l->entries[i].load(std::memory_order_relaxed);
-      }
-    } else {
-      Inner* in = static_cast<Inner*>(n);
-      uint32_t c = in->count.load(std::memory_order_relaxed);
-      for (uint32_t i = 0; i < c && i < inner_cap_; i++) {
-        delete in->keys[i].load(std::memory_order_relaxed);
-      }
-    }
-  }
-  for (Entry* e : retired_entries_) delete e;
-  for (Node* n : all_nodes_) {
-    if (n->leaf) {
-      delete static_cast<Leaf*>(n);
-    } else {
-      delete static_cast<Inner*>(n);
-    }
-  }
-}
+BTree::~BTree() { FreeSubtree(root_.load(std::memory_order_relaxed)); }
 
-void BTree::RegisterNode(Node* n) {
-  std::lock_guard<SpinLock> l(registry_mu_);
-  n->registry_idx = all_nodes_.size();
-  all_nodes_.push_back(n);
-}
-
-void BTree::UnregisterNode(Node* n) {
-  std::lock_guard<SpinLock> l(registry_mu_);
-  const size_t i = n->registry_idx;
-  Node* moved = all_nodes_.back();
-  all_nodes_[i] = moved;
-  moved->registry_idx = i;
-  all_nodes_.pop_back();
+void BTree::FreeSubtree(Node* n) {
+  // Entries are uniquely owned by a live slot: [0, count) of some node
+  // (split leftovers beyond count are stale duplicates). Unlinked nodes
+  // and erased entries are the limbo's, never reachable from the root.
+  if (n->leaf) {
+    Leaf* l = static_cast<Leaf*>(n);
+    const uint32_t c = l->count.load(std::memory_order_relaxed);
+    for (uint32_t i = 0; i < c; i++) {
+      delete l->entries[i].load(std::memory_order_relaxed);
+    }
+    delete l;
+    return;
+  }
+  Inner* in = static_cast<Inner*>(n);
+  const uint32_t c = in->count.load(std::memory_order_relaxed);
+  for (uint32_t i = 0; i < c; i++) {
+    delete in->keys[i].load(std::memory_order_relaxed);
+  }
+  for (uint32_t i = 0; i <= c; i++) {
+    FreeSubtree(in->children[i].load(std::memory_order_relaxed));
+  }
+  delete in;
 }
 
 void BTree::FreeEntryFn(void* p) { delete static_cast<Entry*>(p); }
@@ -173,34 +151,14 @@ void BTree::FreeLeafFn(void* p) { delete static_cast<Leaf*>(p); }
 void BTree::FreeInnerFn(void* p) { delete static_cast<Inner*>(p); }
 
 void BTree::RetireEntry(Entry* e) {
-  if (epoch_ != nullptr) {
-    // Unlinked from its slot already; a pinned reader holding a stale
-    // pointer stays safe until the grace period passes, then the entry
-    // is freed for real.
-    epoch_->Retire(e, FreeEntryFn);
-    return;
-  }
-  std::lock_guard<SpinLock> l(registry_mu_);
-  retired_entries_.push_back(e);
+  // Unlinked from its slot already; a pinned reader holding a stale
+  // pointer stays safe until the grace period passes, then the entry is
+  // freed for real.
+  epoch_->Retire(e, FreeEntryFn);
 }
 
 void BTree::RetireNode(Node* n) {
-  UnregisterNode(n);
-  if (n->leaf) {
-    epoch_->Retire(n, FreeLeafFn);
-  } else {
-    epoch_->Retire(n, FreeInnerFn);
-  }
-}
-
-size_t BTree::RetiredObjectCount() const {
-  size_t n;
-  {
-    std::lock_guard<SpinLock> l(registry_mu_);
-    n = retired_entries_.size();
-  }
-  std::lock_guard<std::mutex> sg(structure_mu_);
-  return n + free_leaves_.size();
+  epoch_->Retire(n, n->leaf ? FreeLeafFn : FreeInnerFn);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +207,7 @@ namespace {
 // pre-clamped to capacity. Safe on a concurrently mutated leaf: a torn
 // view (null slot, shifted duplicates) yields a garbage index that the
 // caller's version validation rejects; it never dereferences an invalid
-// pointer (entries are type-stable).
+// pointer (the caller's epoch pin keeps retired entries allocated).
 template <typename EntryT>
 uint32_t LowerBound(std::atomic<EntryT*>* arr, uint32_t cnt,
                     const std::string& key) {
@@ -357,8 +315,8 @@ restart:
     if (past_hi || nxt == nullptr) return false;
     // Empty in-range leaf: hop. Revalidating l after reading the next
     // leaf's version proves the hop target was still linked (an unlink
-    // locks and bumps the predecessor), so a recycled-and-reborn leaf
-    // can never be mistaken for the successor.
+    // locks and bumps the predecessor), so an unlinked leaf can never be
+    // mistaken for the successor.
     uint64_t nv = AwaitStable(nxt);
     if (!NodeValid(l, v)) goto restart;
     l = nxt;
@@ -623,22 +581,10 @@ BTree::InsertResult BTree::InsertGuarded(const std::string& key, TupleId tid,
 }
 
 BTree::Leaf* BTree::AllocLeafLocked() {
-  Leaf* r;
-  if (!free_leaves_.empty()) {
-    r = free_leaves_.back();
-    free_leaves_.pop_back();
-    LockNode(r);
-    r->dead.store(false, std::memory_order_release);
-    r->count.store(0, std::memory_order_release);
-    r->next.store(nullptr, std::memory_order_release);
-    r->next_slot = 0;
-  } else {
-    r = new Leaf(leaf_cap_);
-    RegisterNode(r);
-    LockNode(r);
-  }
-  // A fresh PageId per lifetime: granules of the previous incarnation
-  // can never alias the new one.
+  Leaf* r = new Leaf(leaf_cap_);
+  LockNode(r);
+  // PageIds are never reused: granules of an unlinked leaf can never
+  // alias a new one.
   r->page_id.store(next_page_id_.fetch_add(1, std::memory_order_relaxed),
                    std::memory_order_release);
   return r;
@@ -684,7 +630,6 @@ void BTree::SplitAndInsert(Leaf* l, uint32_t pos, PageId* out_page,
 void BTree::InsertIntoParent(Node* left, Entry* sep, Node* right) {
   if (left == root_.load(std::memory_order_relaxed)) {
     Inner* nr = new Inner(inner_cap_);
-    RegisterNode(nr);
     nr->keys[0].store(sep, std::memory_order_relaxed);
     nr->children[0].store(left, std::memory_order_relaxed);
     nr->children[1].store(right, std::memory_order_relaxed);
@@ -719,7 +664,6 @@ void BTree::InsertIntoParent(Node* left, Entry* sep, Node* right) {
     uint32_t pcnt = cnt + 1;  // == fanout_ + 1 == inner_cap_
     uint32_t mid = pcnt / 2;
     Inner* r = new Inner(inner_cap_);
-    RegisterNode(r);
     LockNode(r);
     Entry* up = p->keys[mid].load(std::memory_order_relaxed);
     for (uint32_t j = mid + 1; j < pcnt; j++) {
@@ -876,14 +820,10 @@ void BTree::TryRecycleLeaf(Leaf* l, const EraseHooks& hooks) {
   }
   UnlockBump(l);
   UnlockBump(prev);
-  if (epoch_ != nullptr) {
-    // Unlinked from the chain and the parent: hand it to the limbo.
-    // Parked readers (pinned) may still traverse l->next until their pin
-    // passes; the memory outlives them by the grace-period contract.
-    RetireNode(l);
-  } else {
-    free_leaves_.push_back(l);
-  }
+  // Unlinked from the chain and the parent: hand it to the limbo. Parked
+  // readers (pinned) may still traverse l->next until their pin passes;
+  // the memory outlives them by the grace-period contract.
+  RetireNode(l);
 }
 
 void BTree::RemoveChildFromParent(Node* child) {
@@ -934,12 +874,9 @@ void BTree::RemoveChildFromParent(Node* child) {
     }
     // Invalidate parked optimistic readers inside the spliced-out node.
     p->version.fetch_add(2, std::memory_order_release);
-    if (epoch_ != nullptr) {
-      // p holds no keys (collapse means count hit 0) and its only child
-      // was re-seated above, so nothing live is reachable through it;
-      // legacy mode leaks it into all_nodes_ until destruction instead.
-      RetireNode(p);
-    }
+    // p holds no keys (collapse means count hit 0) and its only child was
+    // re-seated above, so nothing live is reachable through it.
+    RetireNode(p);
   }
 }
 

@@ -27,20 +27,14 @@
 //    A full leaf forces the insert to release its leaf locks and retry
 //    pessimistically under structure_mu_ (lock order: structure_mu_
 //    before leaf locks, leaf locks in chain order).
-//  - Reclamation (EngineConfig::epoch_reclaim selects the mode by
-//    whether an EpochManager is supplied). Legacy (no manager): entries
-//    are retired, never freed, until the tree is destroyed (type-stable
-//    memory) and fully empty leaves are unlinked from the chain and
-//    recycled for future splits (with a fresh PageId) — a latch-free
-//    reader can always dereference a pointer it loaded. Epoch mode:
-//    erased entries, unlinked leaves, and spliced-out inner nodes are
-//    handed to the grace-period limbo (util/epoch.h) and actually freed
-//    once every thread has passed the epoch; callers must then hold an
-//    EpochManager::Pin across any region that loads and dereferences
-//    tree pointers — INCLUDING the span from a ReadView-producing call
-//    to its final Validate(), which dereferences the witnessed nodes.
-//    Either way a parked reader detects an unlink via the predecessor's
-//    version bump.
+//  - Reclamation: erased entries, unlinked leaves, and spliced-out
+//    inner nodes are handed to the grace-period limbo (util/epoch.h)
+//    and freed once every thread has passed the epoch. Callers must
+//    hold an EpochManager::Pin across any region that loads and
+//    dereferences tree pointers — INCLUDING the span from a
+//    ReadView-producing call to its final Validate(), which
+//    dereferences the witnessed nodes. A parked reader detects an
+//    unlink via the predecessor's version bump.
 //
 // Validation protocol for SIREAD correctness (used by the database
 // layer): resolve coordinates optimistically, ACQUIRE the SIREAD lock,
@@ -61,7 +55,6 @@
 #include <vector>
 
 #include "util/epoch.h"
-#include "util/spinlock.h"
 #include "util/types.h"
 
 namespace pgssi {
@@ -151,10 +144,11 @@ class BTree {
     }
   };
 
-  /// With a non-null `epoch`, erased entries and dead nodes retire
-  /// through its grace-period limbo instead of the type-stable lists;
-  /// see the reclamation notes in the file comment.
-  explicit BTree(uint32_t fanout = 64, util::EpochManager* epoch = nullptr);
+  /// Erased entries and dead nodes retire through `epoch`'s
+  /// grace-period limbo; see the reclamation notes in the file comment.
+  BTree(uint32_t fanout, util::EpochManager* epoch);
+  /// Frees every node reachable from the root (retired ones belong to
+  /// the limbo).
   ~BTree();
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
@@ -216,12 +210,6 @@ class BTree {
   size_t size() const { return size_.load(std::memory_order_acquire); }
   size_t LeafCount() const { return leaf_count_.load(std::memory_order_acquire); }
 
-  /// Objects this tree has retired but not freed: the type-stable
-  /// retained lists (entries + recycled leaves). Always 0 in epoch mode,
-  /// where retirees live in the shared EpochManager limbo (counted by
-  /// its RetiredObjectCount) until the grace period frees them for real.
-  size_t RetiredObjectCount() const;
-
   /// Test-only: force the next `n` guarded-insert attempts to restart
   /// after running the probe hook, exercising the restart cleanup path
   /// (lock release, no double allocation, no double transfer).
@@ -255,7 +243,7 @@ class BTree {
   static void LeafInsertAt(Leaf* l, uint32_t pos, Entry* e);
   static void LeafEraseAt(Leaf* l, uint32_t pos);
 
-  Leaf* AllocLeafLocked();  // structure_mu_ held; returns a LOCKED leaf
+  Leaf* AllocLeafLocked();  // returns a new, LOCKED leaf
   // Splits the (over-full, locked) leaf `l`; the entry just inserted at
   // `pos` determines *out_page. *right_out is the new leaf, still LOCKED.
   void SplitAndInsert(Leaf* l, uint32_t pos, PageId* out_page,
@@ -265,20 +253,18 @@ class BTree {
   void RemoveChildFromParent(Node* child);
   Leaf* PrevLeafLocked(Leaf* l) const;  // structure_mu_ held
   void RetireEntry(Entry* e);
-  void RegisterNode(Node* n);
-  // Epoch mode only: unlink a node from all_nodes_ (so destruction does
-  // not double-free it) before handing it to the limbo.
-  void UnregisterNode(Node* n);
-  void RetireNode(Node* n);  // epoch mode: unregister + limbo
+  void RetireNode(Node* n);
   // Typed deleters the limbo invokes after the grace period.
   static void FreeEntryFn(void* p);
   static void FreeLeafFn(void* p);
   static void FreeInnerFn(void* p);
+  // Frees n, its subtree, and the entries they own (destruction only).
+  void FreeSubtree(Node* n);
 
   const uint32_t fanout_;
   const uint32_t leaf_cap_;   // fanout_ + 1 (one transient overflow slot)
   const uint32_t inner_cap_;  // fanout_ + 1 separator slots
-  util::EpochManager* const epoch_;  // null = legacy type-stable mode
+  util::EpochManager* const epoch_;
 
   std::atomic<Node*> root_;
   std::atomic<uint64_t> next_page_id_{1};
@@ -289,17 +275,6 @@ class BTree {
   // Serializes all structural surgery: leaf splits, inner-node edits,
   // empty-leaf unlink/recycle. Ordered BEFORE leaf locks.
   mutable std::mutex structure_mu_;
-  // Recycled leaves awaiting reuse (structure_mu_). Legacy mode only:
-  // epoch mode frees dead leaves through the limbo instead.
-  std::vector<Leaf*> free_leaves_;
-
-  // Every currently allocated node, freed on destruction. Legacy mode
-  // never removes a node (type-stable memory: latch-free readers may
-  // hold stale pointers); epoch mode unlinks nodes here when they retire
-  // to the limbo.
-  mutable SpinLock registry_mu_;
-  std::vector<Node*> all_nodes_;
-  std::vector<Entry*> retired_entries_;  // legacy mode only
 
   std::atomic<int> test_force_restarts_{0};
 };

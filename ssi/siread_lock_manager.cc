@@ -32,15 +32,12 @@ void DeleteHolderSet(void* p) {
 SireadLockManager::SireadLockManager(const EngineConfig& cfg,
                                      util::EpochManager* epoch)
     : cfg_(cfg),
-      fine_locking_(cfg.conflict_lock_mode != 0),
       epoch_(epoch),
-      epoch_mode_(cfg.epoch_reclaim != 0 && epoch != nullptr),
       partition_count_(RoundUpPow2(std::min<size_t>(
           kMaxPartitions, std::max<uint32_t>(1, cfg.lock_partitions)))),
       partition_mask_(partition_count_ - 1),
       partitions_(new Partition[partition_count_]),
-      xact_shards_(new XactShard[kXactShards]),
-      min_committed_seq_(kInf) {}
+      xact_shards_(new XactShard[kXactShards]) {}
 
 SireadLockManager::~SireadLockManager() {
   // Destruction contract: quiesced. Anything already handed to the
@@ -57,75 +54,14 @@ SireadLockManager::~SireadLockManager() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Conflict-graph locking guards (EngineConfig::conflict_lock_mode A/B)
-//
-// Fine mode: the registry lock is taken SHARED on the conflict path and
-// the per-xact edge locks provide mutual exclusion, pairs always in
-// ascending-xid order. Global mode: the registry lock is taken EXCLUSIVE
-// everywhere and the edge guards are no-ops, reproducing the old
-// one-mutex-around-everything design as an honest same-binary baseline.
-//
-// Pointer liveness across teardown differs by reclamation mode. Legacy
-// (epoch_reclaim=0): teardown takes the registry exclusive, so holding
-// it shared pins every resolved xact. Epoch mode: teardown runs under
-// shard locks only, and liveness comes from PinGuard — a torn-down
-// xact's memory sits in the grace-period limbo until every pin taken
-// before its retire has been released.
-// ---------------------------------------------------------------------------
-
-class SireadLockManager::RegistryReadLock {
- public:
-  explicit RegistryReadLock(const SireadLockManager* m) : m_(m) {
-    if (m_->fine_locking_) {
-      m_->registry_mu_.lock_shared();
-    } else {
-      m_->registry_mu_.lock();
-      m_->registry_exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  ~RegistryReadLock() {
-    if (m_->fine_locking_) {
-      m_->registry_mu_.unlock_shared();
-    } else {
-      m_->registry_mu_.unlock();
-    }
-  }
-  RegistryReadLock(const RegistryReadLock&) = delete;
-  RegistryReadLock& operator=(const RegistryReadLock&) = delete;
-
- private:
-  const SireadLockManager* m_;
-};
-
-class SireadLockManager::EdgeLock {
- public:
-  EdgeLock(const SireadLockManager* m, SerializableXact* x)
-      : x_(m->fine_locking_ ? x : nullptr) {
-    if (x_) x_->edge_mu.lock();
-  }
-  ~EdgeLock() {
-    if (x_) x_->edge_mu.unlock();
-  }
-  EdgeLock(const EdgeLock&) = delete;
-  EdgeLock& operator=(const EdgeLock&) = delete;
-
- private:
-  SerializableXact* x_;
-};
-
 class SireadLockManager::EdgePairLock {
  public:
-  EdgePairLock(const SireadLockManager* m, SerializableXact* a,
-               SerializableXact* b) {
-    if (!m->fine_locking_) return;  // covered by the exclusive registry lock
-    lo_ = a->xid <= b->xid ? a : b;
-    hi_ = a->xid <= b->xid ? b : a;
+  EdgePairLock(SerializableXact* a, SerializableXact* b)
+      : lo_(a->xid <= b->xid ? a : b), hi_(a->xid <= b->xid ? b : a) {
     lo_->edge_mu.lock();
     if (hi_ != lo_) hi_->edge_mu.lock();
   }
   ~EdgePairLock() {
-    if (lo_ == nullptr) return;
     if (hi_ != lo_) hi_->edge_mu.unlock();
     lo_->edge_mu.unlock();
   }
@@ -133,20 +69,8 @@ class SireadLockManager::EdgePairLock {
   EdgePairLock& operator=(const EdgePairLock&) = delete;
 
  private:
-  SerializableXact* lo_ = nullptr;
-  SerializableXact* hi_ = nullptr;
-};
-
-class SireadLockManager::PinGuard {
- public:
-  explicit PinGuard(const SireadLockManager* m) {
-    if (m->epoch_mode_) pin_.emplace(m->epoch_);
-  }
-  PinGuard(const PinGuard&) = delete;
-  PinGuard& operator=(const PinGuard&) = delete;
-
- private:
-  std::optional<util::EpochManager::Pin> pin_;
+  SerializableXact* lo_;
+  SerializableXact* hi_;
 };
 
 size_t SireadLockManager::PartitionIndex(RelationId rel, PageId page) const {
@@ -176,11 +100,7 @@ void SireadLockManager::SyncOccupancy(Partition& p) const {
 }
 
 void SireadLockManager::FreeHolderSet(HolderSet* s) {
-  if (epoch_mode_) {
-    epoch_->Retire(s, DeleteHolderSet);
-  } else {
-    delete s;
-  }
+  epoch_->Retire(s, DeleteHolderSet);
 }
 
 SireadLockManager::HolderSet* SireadLockManager::GetOrCreate(
@@ -211,9 +131,6 @@ SerializableXact* SireadLockManager::Register(XactId xid, uint64_t snapshot_seq,
   x->xid = xid;
   x->snapshot_seq = snapshot_seq;
   x->read_only = read_only;
-  // Shared registry + one shard mutex: registration never needs the
-  // global exclusive (legacy teardown's exclusive still excludes it).
-  RegistryReadLock l(this);
   XactShard& sh = ShardFor(xid);
   std::lock_guard<CheckedMutex> sl(sh.mu);
   sh.map[xid] = x;
@@ -227,11 +144,6 @@ SerializableXact* SireadLockManager::LookupXact(XactId xid) const {
   return it == sh.map.end() ? nullptr : it->second;
 }
 
-SerializableXact* SireadLockManager::Find(XactId xid) {
-  RegistryReadLock l(this);
-  return LookupXact(xid);
-}
-
 bool SireadLockManager::UnregisterFromShard(SerializableXact* x) {
   XactShard& sh = ShardFor(x->xid);
   std::lock_guard<CheckedMutex> sl(sh.mu);
@@ -239,14 +151,6 @@ bool SireadLockManager::UnregisterFromShard(SerializableXact* x) {
   if (it == sh.map.end() || it->second != x) return false;
   sh.map.erase(it);
   return true;
-}
-
-void SireadLockManager::FreeXact(SerializableXact* x) {
-  if (epoch_mode_) {
-    epoch_->Retire(x, DeleteXact);
-  } else {
-    delete x;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -474,10 +378,9 @@ ProbeResult SireadLockManager::ProbeHeapWrite(RelationId rel, PageId page,
     for (SerializableXact* h : holders) {
       // Holders stay reachable while we hold their partition's lock: the
       // releasing thread must sweep this partition (taking its mutex)
-      // before the xact can be freed or retired — if the entry is still
-      // here, the sweep (and therefore the retire) has not happened.
-      // This holds in both reclamation modes. Skip holders already being
-      // torn down.
+      // before the xact can be retired — if the entry is still here, the
+      // sweep (and therefore the retire) has not happened. Skip holders
+      // already being torn down.
       if (!h->aborted.load(std::memory_order_acquire) &&
           !h->defunct.load(std::memory_order_acquire)) {
         r.holder_xids.push_back(h->xid);
@@ -504,7 +407,7 @@ ProbeResult SireadLockManager::ProbeHeapWrite(RelationId rel, PageId page,
   // while no relation lock exists anywhere. A relation lock appearing
   // concurrently cannot be missed for a conflicting access: conflicting
   // accesses to one tuple are serialized by its heap stripe (gap reads
-  // vs inserts by the index latch), and escalation installs the coarse
+  // vs inserts by the leaf locks), and escalation installs the coarse
   // relation lock — and bumps the count — before retiring fine locks.
   if (rel_lock_count_.load(std::memory_order_acquire) > 0) {
     Partition& rp = PartitionForRelation(rel);
@@ -670,22 +573,20 @@ void SireadLockManager::GapTransferInternal(RelationId rel, PageId from_page,
 //
 // Edges form once per conflict and the dangerous-structure tests run
 // once per edge or commit — orders of magnitude rarer than SIREAD
-// traffic, which never touches these locks. Under fine-grained locking
-// the path still scales with CONFLICT rate: an edge only locks its <=2
-// parties (ascending xid) plus the registry SHARED, so edges on
-// disjoint xact pairs proceed in parallel — and with epoch reclamation
-// on, not even teardown serializes against it.
+// traffic, which never touches these locks. The path scales with
+// CONFLICT rate: an edge only locks its <=2 parties (ascending xid), so
+// edges on disjoint xact pairs proceed in parallel, and teardown does
+// not serialize against them.
 //
-// Pointer-liveness argument (fine mode): while a thread holds x's edge
+// Pointer-liveness argument: while a thread holds x's edge
 // lock, every neighbour reachable through x's edge lists stays
 // allocated — retiring or freeing a neighbour n requires dissolving the
 // (n, x) edge first, and that dissolve takes x's edge lock. Neighbour
 // lifecycle fields read during the dangerous-structure tests
 // (committed, commit_seq, read_only, snapshot_seq) are atomics or
 // immutable, so neighbours' edge locks are never needed. Pointers
-// resolved by xid (not reached through an edge list) are pinned by the
-// shared registry lock in legacy mode and by an epoch pin in epoch
-// mode.
+// resolved by xid (not reached through an edge list) are kept live by
+// an epoch pin.
 // ---------------------------------------------------------------------------
 
 void SireadLockManager::Doom(SerializableXact* x) {
@@ -695,18 +596,18 @@ void SireadLockManager::Doom(SerializableXact* x) {
 }
 
 bool SireadLockManager::HasIn(const SerializableXact* x) const {
-  AssertEdgeHeld(x);
+  x->edge_mu.AssertHeld();
   return x->sticky_in || !x->in_edges.empty();
 }
 
 bool SireadLockManager::HasOutAny(const SerializableXact* x) const {
-  AssertEdgeHeld(x);
+  x->edge_mu.AssertHeld();
   return x->sticky_out || !x->out_edges.empty();
 }
 
 bool SireadLockManager::HasOutCommittedBefore(const SerializableXact* x,
                                               uint64_t seq) const {
-  AssertEdgeHeld(x);
+  x->edge_mu.AssertHeld();
   if (x->sticky_out_commit_seq < seq) return true;  // kNoStickySeq: never
   for (const SerializableXact* o : x->out_edges) {
     if (o->committed.load(std::memory_order_relaxed) &&
@@ -720,56 +621,50 @@ bool SireadLockManager::HasOutCommittedBefore(const SerializableXact* x,
 void SireadLockManager::FlagRwConflict(SerializableXact* reader,
                                        SerializableXact* writer) {
   if (reader == nullptr || writer == nullptr || reader == writer) return;
-  PinGuard pg(this);
-  RegistryReadLock l(this);
-  EdgePairLock el(this, reader, writer);
+  util::EpochManager::Pin pin(epoch_);
+  EdgePairLock el(reader, writer);
   FlagRwConflictLocked(reader, writer);
 }
 
 void SireadLockManager::FlagRwConflictWithWriter(SerializableXact* reader,
                                                  XactId writer_xid) {
   if (reader == nullptr) return;
-  // Liveness of the resolved pointer across the whole flagging: the
-  // epoch pin (epoch mode) or the shared registry lock (legacy, where
-  // teardown needs the registry exclusive). The pin must cover the
-  // resolution itself — a pointer resolved before pinning could already
-  // be past its grace period.
-  PinGuard pg(this);
-  RegistryReadLock l(this);
+  // The epoch pin keeps the resolved pointer live across the whole
+  // flagging. It must cover the resolution itself — a pointer resolved
+  // before pinning could already be past its grace period.
+  util::EpochManager::Pin pin(epoch_);
   SerializableXact* writer = LookupXact(writer_xid);
   if (writer == nullptr) return;  // non-serializable or already cleaned
   if (writer == reader) return;
-  EdgePairLock el(this, reader, writer);
+  EdgePairLock el(reader, writer);
   FlagRwConflictLocked(reader, writer);
 }
 
 void SireadLockManager::FlagRwConflictWithReader(XactId reader_xid,
                                                  SerializableXact* writer) {
   if (writer == nullptr) return;
-  PinGuard pg(this);
-  RegistryReadLock l(this);
+  util::EpochManager::Pin pin(epoch_);
   SerializableXact* reader = LookupXact(reader_xid);
   if (reader == nullptr) return;
   if (reader == writer) return;
-  EdgePairLock el(this, reader, writer);
+  EdgePairLock el(reader, writer);
   FlagRwConflictLocked(reader, writer);
 }
 
 void SireadLockManager::FlagRwConflictLocked(SerializableXact* reader,
                                              SerializableXact* writer) {
   if (reader == nullptr || writer == nullptr || reader == writer) return;
-  AssertEdgeHeld(reader);
-  AssertEdgeHeld(writer);
+  reader->edge_mu.AssertHeld();
+  writer->edge_mu.AssertHeld();
   if (reader->aborted.load(std::memory_order_relaxed) ||
       writer->aborted.load(std::memory_order_relaxed)) {
     return;
   }
   // A defunct party is mid-teardown: its edges are being dissolved (or
-  // about to be) without the exclusive registry lock in epoch mode, so
-  // adding one now could strand a dangling partner pointer. Skipping is
-  // sound — it is observationally the interleaving where this flagging
-  // ran after the teardown erased the xact from the registry, which the
-  // xid-resolving paths already produce.
+  // about to be), so adding one now could strand a dangling partner
+  // pointer. Skipping is sound — it is observationally the interleaving
+  // where this flagging ran after the teardown erased the xact from the
+  // registry, which the xid-resolving paths already produce.
   if (reader->defunct.load(std::memory_order_acquire) ||
       writer->defunct.load(std::memory_order_acquire)) {
     return;
@@ -805,7 +700,7 @@ void SireadLockManager::FlagRwConflictLocked(SerializableXact* reader,
 
 bool SireadLockManager::DangerousPivot(const SerializableXact* x,
                                        uint64_t pivot_bound) const {
-  AssertEdgeHeld(x);
+  x->edge_mu.AssertHeld();
   // x is a dangerous pivot if some in-neighbour R and some committed
   // out-neighbour exist with the out-commit preceding `pivot_bound`
   // (commit-ordering opt) — and, for a declared read-only R under the
@@ -858,24 +753,13 @@ void SireadLockManager::MaybeDoomOnEdge(SerializableXact* reader,
 }
 
 Status SireadLockManager::PreCommit(SerializableXact* x) {
-  if (!fine_locking_) {
-    std::unique_lock<std::shared_mutex> l(registry_mu_);
-    registry_exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
-    return PreCommitLocked(x);
-  }
-  // Fine mode: only x's own edge lock. The dangerous-structure test
-  // reads x's edge lists (guarded by edge_mu) plus neighbour lifecycle
-  // atomics, and neighbours cannot be freed from under us in either
-  // reclamation mode (see the liveness argument at the top of this
-  // section — dissolution requires x's edge lock, and retire follows
-  // dissolution). No registry lock: x is the caller's own transaction,
+  // Only x's own edge lock. The dangerous-structure test reads x's edge
+  // lists (guarded by edge_mu) plus neighbour lifecycle atomics, and
+  // neighbours cannot be freed from under us (see the liveness argument
+  // at the top of this section — dissolution requires x's edge lock,
+  // and retire follows dissolution). x is the caller's own transaction,
   // so it cannot be torn down here.
   std::lock_guard<CheckedMutex> el(x->edge_mu);
-  return PreCommitLocked(x);
-}
-
-Status SireadLockManager::PreCommitLocked(SerializableXact* x) {
-  AssertEdgeHeld(x);
   if (x->doomed.load(std::memory_order_relaxed)) {
     return Status::SerializationFailure(
         "canceled due to rw-antidependency conflict (doomed)");
@@ -898,80 +782,57 @@ Status SireadLockManager::PreCommitLocked(SerializableXact* x) {
   // Marking it committed makes any such concurrent edge doom the other
   // party instead (this transaction is certain to commit first).
   //
-  // Re-proof under per-xact edge locks: every edge formation involving x
-  // — as reader or writer — locks x's edge_mu (EdgePairLock covers both
-  // parties), and this check-then-mark runs entirely under that same
-  // lock. So any concurrent edge either completed before the lock was
-  // taken (the test above sees it) or starts after the store below (its
-  // MaybeDoomOnEdge observes committed==true and dooms the other party).
-  // The window the old global mutex closed stays closed.
+  // Every edge formation involving x — as reader or writer — locks x's
+  // edge_mu (EdgePairLock covers both parties), and this check-then-mark
+  // runs entirely under that same lock. So any concurrent edge either
+  // completed before the lock was taken (the test above sees it) or
+  // starts after the store below (its MaybeDoomOnEdge observes
+  // committed==true and dooms the other party).
   x->committed.store(true, std::memory_order_release);
   return Status::OK();
 }
 
 void SireadLockManager::MarkCommitted(SerializableXact* x,
                                       uint64_t commit_seq) {
-  if (epoch_mode_) {
-    // The shard mutex both orders the commit-seq store against epoch
-    // Cleanup's shard scan (the scan holds it) and makes the per-shard
-    // floor ratchet race-free against the scan's exact recompute — the
-    // legacy design needed the whole registry lock for the same pair of
-    // guarantees.
-    XactShard& sh = ShardFor(x->xid);
-    std::lock_guard<CheckedMutex> sl(sh.mu);
-    x->committed.store(true, std::memory_order_relaxed);
-    x->commit_seq.store(commit_seq, std::memory_order_release);
-    const uint64_t cur = sh.min_committed.load(std::memory_order_relaxed);
-    if (commit_seq < cur) {
-      sh.min_committed.store(commit_seq, std::memory_order_release);
-    }
-    return;
-  }
-  // The shared registry lock (exclusive in global mode) is what makes
-  // the min ratchet below safe against Cleanup's exact recompute: the
-  // recompute runs under the exclusive registry lock, so it cannot scan
-  // this xact while still commit-pending and then clobber the ratchet —
-  // either it sees the seq stored here, or this whole block runs after.
-  RegistryReadLock l(this);
+  // The shard mutex both orders the commit-seq store against Cleanup's
+  // shard scan (the scan holds it) and makes the per-shard floor
+  // ratchet race-free against the scan's exact recompute.
+  XactShard& sh = ShardFor(x->xid);
+  std::lock_guard<CheckedMutex> sl(sh.mu);
   x->committed.store(true, std::memory_order_relaxed);
   x->commit_seq.store(commit_seq, std::memory_order_release);
-  uint64_t cur = min_committed_seq_.load(std::memory_order_relaxed);
-  while (commit_seq < cur &&
-         !min_committed_seq_.compare_exchange_weak(
-             cur, commit_seq, std::memory_order_acq_rel)) {
+  const uint64_t cur = sh.min_committed.load(std::memory_order_relaxed);
+  if (commit_seq < cur) {
+    sh.min_committed.store(commit_seq, std::memory_order_release);
   }
 }
 
 void SireadLockManager::DissolveEdges(SerializableXact* x, bool make_sticky) {
-  // Snapshot x's lists under x's edge lock. Legacy teardown holds the
-  // registry exclusive, so the snapshot is trivially complete. Epoch
-  // mode: x is aborted or defunct by now, and FlagRwConflictLocked
-  // checks both flags under the pair's edge locks — so any edge added
-  // concurrently either completed before this snapshot (we see it) or
-  // its flagger, serialized after us on x's edge_mu, observes the flag
-  // and backs off. After the snapshot the lists can only shrink
-  // (partners dissolving themselves), which the erase-checks below
-  // tolerate.
+  // Snapshot x's lists under x's edge lock. x is aborted or defunct by
+  // now, and FlagRwConflictLocked checks both flags under the pair's
+  // edge locks — so any edge added concurrently either completed before
+  // this snapshot (we see it) or its flagger, serialized after us on x's
+  // edge_mu, observes the flag and backs off. After the snapshot the
+  // lists can only shrink (partners dissolving themselves), which the
+  // erase-checks below tolerate.
   std::vector<SerializableXact*> outs;
   std::vector<SerializableXact*> ins;
   {
-    EdgeLock el(this, x);
+    std::lock_guard<CheckedMutex> el(x->edge_mu);
     outs.assign(x->out_edges.begin(), x->out_edges.end());
     ins.assign(x->in_edges.begin(), x->in_edges.end());
   }
   const bool x_committed = x->committed.load(std::memory_order_relaxed);
   const uint64_t x_seq = x->commit_seq.load(std::memory_order_relaxed);
   for (SerializableXact* o : outs) {
-    EdgePairLock el(this, x, o);
-    if (fine_locking_ && x->out_edges.erase(o) == 0) {
-      continue;  // the partner dissolved this edge first
-    }
+    EdgePairLock el(x, o);
+    if (x->out_edges.erase(o) == 0) continue;  // partner dissolved it first
     o->in_edges.erase(x);
     if (make_sticky && x_committed) o->sticky_in = true;
   }
   for (SerializableXact* i : ins) {
-    EdgePairLock el(this, x, i);
-    if (fine_locking_ && x->in_edges.erase(i) == 0) continue;
+    EdgePairLock el(x, i);
+    if (x->in_edges.erase(i) == 0) continue;
     i->out_edges.erase(x);
     if (make_sticky && x_committed) {
       PGSSI_DCHECK(x_seq != 0);  // only Cleanup makes sticky: seq assigned
@@ -979,7 +840,7 @@ void SireadLockManager::DissolveEdges(SerializableXact* x, bool make_sticky) {
       i->sticky_out_commit_seq = std::min(i->sticky_out_commit_seq, x_seq);
     }
   }
-  EdgeLock el(this, x);
+  std::lock_guard<CheckedMutex> el(x->edge_mu);
   x->out_edges.clear();
   x->in_edges.clear();
 }
@@ -1026,92 +887,23 @@ void SireadLockManager::ReleaseAllLocks(SerializableXact* x) {
 void SireadLockManager::Abort(SerializableXact* x) {
   x->aborted.store(true, std::memory_order_release);
   ReleaseAllLocks(x);
-  if (!epoch_mode_) {
-    SerializableXact* owned = nullptr;
-    {
-      std::unique_lock<std::shared_mutex> l(registry_mu_);
-      registry_exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
-      DissolveEdges(x, /*make_sticky=*/false);
-      XactShard& sh = ShardFor(x->xid);
-      std::lock_guard<CheckedMutex> sl(sh.mu);
-      auto it = sh.map.find(x->xid);
-      if (it != sh.map.end() && it->second == x) {
-        owned = x;  // frees below; no-op for stack xacts
-        sh.map.erase(it);
-      }
-    }
-    delete owned;
-    return;
-  }
-  // Epoch mode: unlink from the registry shard first (flaggers can no
-  // longer resolve the xid; ones that already did are pinned and will
-  // observe aborted/defunct under the edge locks), dissolve under the
-  // shared registry lock + a pin (partners mid-teardown themselves stay
-  // dereferenceable through the pin), and retire the memory. No
-  // exclusive registry acquisition anywhere on this path.
+  // Unlink from the registry shard first (flaggers can no longer resolve
+  // the xid; ones that already did are pinned and will observe
+  // aborted/defunct under the edge locks), dissolve under a pin
+  // (partners mid-teardown themselves stay dereferenceable), and retire
+  // the memory.
   const bool registered = UnregisterFromShard(x);
   {
-    RegistryReadLock l(this);
-    PinGuard pg(this);
+    util::EpochManager::Pin pin(epoch_);
     DissolveEdges(x, /*make_sticky=*/false);
   }
-  if (registered) FreeXact(x);
+  if (registered) epoch_->Retire(x, DeleteXact);  // else caller-owned
   epoch_->AmortizedTick();
 }
 
 void SireadLockManager::Cleanup(uint64_t oldest_active_snapshot_seq) {
-  if (!epoch_mode_) {
-    // Fast out: nothing committed early enough to be freeable. The hint
-    // is conservative (monotone min maintained by MarkCommitted,
-    // recomputed exactly whenever xacts are freed), so a skipped cleanup
-    // is always retried by the next caller once something is freeable.
-    if (min_committed_seq_.load(std::memory_order_acquire) >
-        oldest_active_snapshot_seq) {
-      return;
-    }
-    std::vector<SerializableXact*> dead;
-    {
-      std::unique_lock<std::shared_mutex> l(registry_mu_);
-      registry_exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
-      uint64_t min_seq = kInf;
-      for (size_t i = 0; i < kXactShards; ++i) {
-        XactShard& sh = xact_shards_[i];
-        std::lock_guard<CheckedMutex> sl(sh.mu);
-        for (auto it = sh.map.begin(); it != sh.map.end();) {
-          SerializableXact* x = it->second;
-          const uint64_t seq = x->commit_seq.load(std::memory_order_relaxed);
-          // commit_seq == 0 means commit-pending: not freeable yet.
-          if (x->committed.load(std::memory_order_relaxed) && seq != 0 &&
-              seq <= oldest_active_snapshot_seq) {
-            DissolveEdges(x, /*make_sticky=*/true);
-            dead.push_back(x);
-            it = sh.map.erase(it);
-          } else {
-            if (x->committed.load(std::memory_order_relaxed) && seq != 0) {
-              min_seq = std::min(min_seq, seq);
-            }
-            ++it;
-          }
-        }
-      }
-      // Exact recompute over the survivors: without this the hint would
-      // stay at the retired floor forever and the early-out above would
-      // never fire again. Safe against concurrent MarkCommitted ratchets
-      // because those hold the registry lock shared.
-      min_committed_seq_.store(min_seq, std::memory_order_release);
-    }
-    // Lock release happens outside the registry lock: the partition sweep
-    // synchronizes with concurrent probes/splits, which is all that is
-    // needed before freeing.
-    for (SerializableXact* x : dead) {
-      ReleaseAllLocks(x);
-      delete x;
-    }
-    return;
-  }
-
-  // Epoch mode. Drive the limbo on every call — index GC and granule
-  // sets wait on epoch advancement even when no xact is freeable.
+  // Drive the limbo on every call — index GC and granule sets wait on
+  // epoch advancement even when no xact is freeable.
   epoch_->TryAdvanceAndSweep();
   if (min_committed_seq_hint() > oldest_active_snapshot_seq) return;
 
@@ -1149,31 +941,26 @@ void SireadLockManager::Cleanup(uint64_t oldest_active_snapshot_seq) {
   // to the limbo.
   for (SerializableXact* x : dead) ReleaseAllLocks(x);
   {
-    RegistryReadLock l(this);
-    PinGuard pg(this);
+    util::EpochManager::Pin pin(epoch_);
     for (SerializableXact* x : dead) {
       DissolveEdges(x, /*make_sticky=*/true);
     }
   }
-  for (SerializableXact* x : dead) FreeXact(x);
+  for (SerializableXact* x : dead) epoch_->Retire(x, DeleteXact);
   epoch_->TryAdvanceAndSweep();
 }
 
 bool SireadLockManager::CommittedWithDangerousOut(XactId xid,
                                                   uint64_t snapshot_seq) {
-  PinGuard pg(this);
-  RegistryReadLock l(this);
+  util::EpochManager::Pin pin(epoch_);
   SerializableXact* x = LookupXact(xid);
   if (x == nullptr) return false;  // cleaned up => no longer relevant
   if (!x->committed.load(std::memory_order_relaxed)) return false;
-  EdgeLock el(this, x);
+  std::lock_guard<CheckedMutex> el(x->edge_mu);
   return HasOutCommittedBefore(x, snapshot_seq + 1);
 }
 
 uint64_t SireadLockManager::min_committed_seq_hint() const {
-  if (!epoch_mode_) {
-    return min_committed_seq_.load(std::memory_order_acquire);
-  }
   uint64_t m = kInf;
   for (size_t i = 0; i < kXactShards; ++i) {
     m = std::min(m,
@@ -1215,7 +1002,6 @@ bool SireadLockManager::HoldsRelationLock(const SerializableXact* x,
 }
 
 size_t SireadLockManager::RegisteredCount() const {
-  RegistryReadLock l(this);
   size_t n = 0;
   for (size_t i = 0; i < kXactShards; ++i) {
     std::lock_guard<CheckedMutex> sl(xact_shards_[i].mu);
@@ -1262,8 +1048,6 @@ size_t SireadLockManager::TotalLockCount() const {
 }
 
 bool SireadLockManager::CheckConsistency() const {
-  std::unique_lock<std::shared_mutex> xl(registry_mu_);
-  registry_exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::unique_lock<CheckedMutex>> shard_locks;
   shard_locks.reserve(kXactShards);
   for (size_t i = 0; i < kXactShards; ++i) {
@@ -1348,7 +1132,7 @@ bool SireadLockManager::CheckConsistency() const {
     }
   }
   // Conflict-graph invariants (at a quiescent point nothing mutates the
-  // lists; the registry + shard locks exclude registration/teardown):
+  // lists; the shard locks exclude registration/teardown):
   // each edge is mirrored by its partner, partners of live edges are
   // themselves registered, and the sticky commit-seq is either the
   // sentinel or a real (nonzero) sequence number.

@@ -28,33 +28,25 @@
 //    one atomic load — no lock at all (the probe-miss fast path).
 //  - Each SerializableXact's held-lock bookkeeping is guarded by its own
 //    spinlock (held_mu), always acquired AFTER the owning partition lock.
-//  - The conflict graph scales with conflict rate, not read rate
-//    (EngineConfig::conflict_lock_mode, default fine-grained): each
+//  - The conflict graph scales with conflict rate, not read rate: each
 //    SerializableXact's edge lists and sticky flags are guarded by its
 //    own edge_mu (the analogue of PostgreSQL's per-SERIALIZABLEXACT
 //    LWLock). Flagging an edge locks the two parties in ascending-xid
-//    order under a SHARED registry lock; PreCommit's dangerous-structure
-//    test needs only the committing xact's edge lock (neighbour
-//    lifecycle fields are atomics, and a neighbour cannot be freed while
-//    its edge to the pivot exists — dissolution requires the pivot's
-//    edge lock).
+//    order; PreCommit's dangerous-structure test needs only the
+//    committing xact's edge lock (neighbour lifecycle fields are
+//    atomics, and a neighbour cannot be freed while its edge to the
+//    pivot exists — dissolution requires the pivot's edge lock).
 //  - Xact registry membership lives in 16 hashed shards, each with its
-//    own mutex: registration and teardown touch one shard. With
-//    epoch-based reclamation on (EngineConfig::epoch_reclaim, default),
-//    Abort and Cleanup NEVER take the registry lock exclusive — they
-//    unlink under the shard lock + the parties' edge locks and hand the
-//    memory to a grace-period limbo (util/epoch.h); conflict-path
-//    pointer liveness comes from epoch pins instead of a reader-writer
-//    lock. With epoch_reclaim=0 teardown reverts to the old exclusive
-//    registry sweeps (same-binary A/B). The registry lock is then only
-//    taken exclusive by that legacy teardown, by consistency checks,
-//    and in conflict_lock_mode=0 (which maps every conflict-path
-//    acquisition back onto it — the old single-global-mutex design).
+//    own mutex: registration, xid resolution and teardown touch one
+//    shard. Abort and Cleanup unlink under the shard lock + the parties'
+//    edge locks and hand the memory to a grace-period limbo
+//    (util/epoch.h); pointer liveness on the conflict path comes from
+//    epoch pins, not from a registry-wide lock.
 //  - Lifecycle flags (committed/aborted/doomed/...) are atomics so the
 //    hot path (Doomed(), probe holder filtering) reads them lock-free.
 //
-// Lock ordering (outermost first): registry_mu_ > xact shard mutex >
-// per-xact edge_mu > ... > partition mutex > per-xact held_mu
+// Lock ordering (outermost first): xact shard mutex > per-xact edge_mu
+// > ... > partition mutex > per-xact held_mu
 // (conflict-graph locks and SIREAD-table locks are never actually
 // nested; the order is total for safety). Two partition locks are only
 // ever held together in canonical (index) order — OnPageSplit / gap
@@ -69,8 +61,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -98,9 +88,8 @@ struct SerializableXact {
   // thread at Begin, read by writers flagging conflicts: atomic.
   std::atomic<bool> safe_snapshot{false};
 
-  // Lifecycle. Written under the owner's edge lock / the registry lock
-  // (or by the releasing thread for `defunct`), read lock-free on the
-  // hot path.
+  // Lifecycle. Written under the owner's edge lock or shard lock (or by
+  // the releasing thread for `defunct`), read lock-free on the hot path.
   std::atomic<uint64_t> commit_seq{0};  // 0 while in flight
   std::atomic<bool> committed{false};
   std::atomic<bool> aborted{false};
@@ -112,16 +101,13 @@ struct SerializableXact {
   // this xact (page splits drop it instead) and probes skip it. Set under
   // held_mu, checked under held_mu by anyone about to add an entry. Edge
   // flagging also skips defunct parties (checked under the pair's edge
-  // locks) — the barrier epoch-mode teardown relies on in place of the
-  // exclusive registry lock.
+  // locks) — the barrier teardown relies on to freeze the edge lists.
   std::atomic<bool> defunct{false};
 
   // Conflict graph. `in_edges` holds T1 for each T1 -rw-> this edge
   // (T1 read a version this transaction overwrote); `out_edges` holds T3
-  // for each this -rw-> T3 edge. Guarded by edge_mu under fine-grained
-  // conflict locking (EngineConfig::conflict_lock_mode != 0; two edge
-  // locks always nest in ascending-xid order), or by the manager's
-  // exclusive registry lock in global-mutex mode.
+  // for each this -rw-> T3 edge. Guarded by edge_mu (two edge locks
+  // always nest in ascending-xid order).
   mutable CheckedMutex edge_mu;
   std::unordered_set<SerializableXact*> in_edges;
   std::unordered_set<SerializableXact*> out_edges;
@@ -146,19 +132,13 @@ struct ProbeResult {
 
 class SireadLockManager {
  public:
-  /// `epoch` may be null; epoch-based reclamation is active only when
-  /// both cfg.epoch_reclaim != 0 AND an EpochManager is supplied (the
-  /// Database always supplies its own; standalone tests opt in).
-  explicit SireadLockManager(const EngineConfig& cfg,
-                             util::EpochManager* epoch = nullptr);
+  /// Torn-down xacts and granule holder sets retire through `epoch`,
+  /// which must outlive the manager.
+  SireadLockManager(const EngineConfig& cfg, util::EpochManager* epoch);
   ~SireadLockManager();
 
   // ----- xact registry (engine-managed transactions) -----
   SerializableXact* Register(XactId xid, uint64_t snapshot_seq, bool read_only);
-  /// Epoch mode: the returned pointer is only guaranteed live while the
-  /// xact cannot be torn down (it is the caller's own, or the caller
-  /// holds an epoch pin taken before the call).
-  SerializableXact* Find(XactId xid);
 
   // ----- SIREAD acquisition (Section 5.1) -----
   void AcquireTuple(SerializableXact* x, RelationId rel, PageId page,
@@ -202,11 +182,9 @@ class SireadLockManager {
   /// tuple-granule holders of (from_page, from_slot) plus, when the
   /// pages differ, page-granule holders of from_page — their page lock
   /// does not reach to_page. May take two partition locks, in canonical
-  /// index order. The caller must hold whatever serializes structural
-  /// changes to the affected gap: with index_olc=0 the table's
-  /// exclusive index latch; with index_olc=1 the write locks of every
-  /// leaf the gap spans (InsertHooks/EraseHooks run there) — readers
-  /// then follow acquire-then-validate, so a lock acquired against the
+  /// index order. The caller must hold the write locks of every leaf
+  /// the gap spans (InsertHooks/EraseHooks run there) — readers follow
+  /// acquire-then-validate, so a lock acquired against the
   /// pre-transfer granule is either visible to this copy or the
   /// reader's validation fails and it re-resolves.
   void OnGapTransfer(RelationId rel, PageId from_page, uint32_t from_slot,
@@ -221,8 +199,8 @@ class SireadLockManager {
   /// Same, resolving one side by xid (the pointer for a foreign xact may
   /// be freed concurrently, so callers outside the manager must not hold
   /// one across calls). Unknown xids are ignored. The whole flagging
-  /// runs under an epoch pin (epoch mode) or the shared registry lock
-  /// (legacy), either of which keeps the resolved xact's memory live.
+  /// runs under an epoch pin, which keeps the resolved xact's memory
+  /// live.
   void FlagRwConflictWithWriter(SerializableXact* reader, XactId writer_xid);
   void FlagRwConflictWithReader(XactId reader_xid, SerializableXact* writer);
 
@@ -237,9 +215,8 @@ class SireadLockManager {
   /// Free committed xacts (and their SIREAD locks) whose commit precedes
   /// every active snapshot. Edges to still-live partners become sticky
   /// summary flags. Cheap no-op (a few atomic loads) when nothing is
-  /// freeable. Epoch mode: the sweep runs shard by shard under shard
-  /// locks, the freed memory goes to the epoch limbo, and the registry
-  /// lock is never taken exclusive.
+  /// freeable. The sweep runs shard by shard under shard locks and the
+  /// freed memory goes to the epoch limbo.
   void Cleanup(uint64_t oldest_active_snapshot_seq);
 
   /// True if `x` (a committed concurrent txn) makes a candidate snapshot
@@ -265,8 +242,9 @@ class SireadLockManager {
   /// Tuple + page + relation lock-table entries across all partitions.
   size_t TotalLockCount() const;
   /// Cross-checks every partition map entry against its holder's held-lock
-  /// bookkeeping and (for registered xacts) vice versa. Intended for tests
-  /// at quiescent points; takes every lock in the manager.
+  /// bookkeeping and (for registered xacts) vice versa, plus the edge
+  /// mirror invariants. Quiescent points only: it takes every shard and
+  /// partition lock but reads edge lists without their edge locks.
   bool CheckConsistency() const;
   size_t partition_count() const { return partition_count_; }
   /// Cleanup's early-out threshold (smallest commit seq among live
@@ -282,14 +260,6 @@ class SireadLockManager {
   uint64_t ssi_aborts() const {
     return ssi_aborts_.load(std::memory_order_relaxed);
   }
-  /// How many times registry_mu_ was acquired EXCLUSIVE. The epoch-mode
-  /// audit: under the default config this must not grow during
-  /// abort/cleanup churn (only legacy teardown, conflict_lock_mode=0,
-  /// and CheckConsistency take it).
-  uint64_t registry_exclusive_acquires() const {
-    return registry_exclusive_acquires_.load(std::memory_order_relaxed);
-  }
-  bool epoch_mode() const { return epoch_mode_; }
 
  private:
   struct TupleTag {
@@ -305,7 +275,7 @@ class SireadLockManager {
 
   /// Holder sets are heap objects so teardown can unlink one from the
   /// partition map under the partition lock and defer the free through
-  /// the epoch limbo (epoch mode) — the shape a future fully lock-free
+  /// the epoch limbo — the shape a future fully lock-free
   /// probe needs, and what keeps frees off the partition critical
   /// sections today.
   using HolderSet = std::unordered_set<SerializableXact*>;
@@ -327,8 +297,8 @@ class SireadLockManager {
 
   // One shard of the xact registry. Registration, xid resolution, and
   // teardown unlinking touch one shard's mutex; the per-shard committed
-  // floor lets epoch-mode Cleanup recompute its early-out hint without
-  // any global exclusive lock (MarkCommitted's ratchet takes the same
+  // floor lets Cleanup recompute its early-out hint without any global
+  // lock (MarkCommitted's ratchet takes the same
   // shard mutex, so the recompute cannot clobber a concurrent commit).
   static constexpr size_t kXactShards = 16;
   struct alignas(64) XactShard {
@@ -350,8 +320,8 @@ class SireadLockManager {
   /// Republish p.occupancy from the map sizes; p.mu must be held. Call
   /// before leaving any critical section that mutated the maps.
   void SyncOccupancy(Partition& p) const;
-  /// Free (or epoch-retire) an emptied holder set just unlinked from a
-  /// partition map.
+  /// Epoch-retire an emptied holder set just unlinked from a partition
+  /// map.
   void FreeHolderSet(HolderSet* s);
   static HolderSet* GetOrCreate(std::map<TupleTag, HolderSet*>& m,
                                 const TupleTag& k);
@@ -393,23 +363,9 @@ class SireadLockManager {
   /// through the lock tables.
   void ReleaseAllLocks(SerializableXact* x);
 
-  // Conflict-graph locking guards (see the file comment). In
-  // global-mutex mode RegistryReadLock is exclusive and the edge guards
-  // are no-ops; in fine mode RegistryReadLock is shared and the edge
-  // guards lock edge_mu (pairs in ascending-xid order). PinGuard pins
-  // the epoch (epoch mode only): raw xact pointers obtained while
-  // pinned stay dereferenceable even if the xact is torn down
-  // concurrently — its memory sits in the limbo until the pin passes.
-  class RegistryReadLock;
-  class EdgeLock;
+  // Locks the edge_mu of both parties of an edge, in ascending-xid
+  // order.
   class EdgePairLock;
-  class PinGuard;
-  /// DCHECK that the lock protecting x's edge lists is held by this
-  /// thread (x's edge_mu in fine mode; vacuous under the global mutex,
-  /// whose std::shared_mutex cannot assert ownership).
-  void AssertEdgeHeld(const SerializableXact* x) const {
-    if (fine_locking_) x->edge_mu.AssertHeld();
-  }
   /// Idempotent doom + stats bump (the edge lock of x must be held, so
   /// two racing doomers cannot double-count).
   void Doom(SerializableXact* x);
@@ -422,13 +378,10 @@ class SireadLockManager {
   bool DangerousPivot(const SerializableXact* x, uint64_t pivot_bound) const;
   void FlagRwConflictLocked(SerializableXact* reader, SerializableXact* writer);
   void MaybeDoomOnEdge(SerializableXact* reader, SerializableXact* writer);
-  Status PreCommitLocked(SerializableXact* x);
-  /// Dissolve every edge of x. Legacy mode: the caller holds the
-  /// registry lock EXCLUSIVE, which freezes x's lists. Epoch mode: the
-  /// caller holds the registry lock per RegistryReadLock plus an epoch
-  /// pin, and x must already be aborted or defunct — the flag paths
-  /// skip such parties under the pair's edge locks, so after the
-  /// snapshot below no new edge can land on x. Partner back-edges and
+  /// Dissolve every edge of x. The caller holds an epoch pin, and x
+  /// must already be aborted or defunct — the flag paths skip such
+  /// parties under the pair's edge locks, so after the snapshot of x's
+  /// lists no new edge can land on x. Partner back-edges and
   /// sticky flags are always updated under the pair's edge locks
   /// because a partner's PreCommit reads its lists under only its own
   /// edge lock.
@@ -436,18 +389,13 @@ class SireadLockManager {
   /// Unlink x->xid from its registry shard. Returns true when x was the
   /// registered entry (i.e. the registry owned it).
   bool UnregisterFromShard(SerializableXact* x);
-  /// Resolve an xid through its shard (takes the shard mutex). Epoch
-  /// mode: the caller must hold a PinGuard taken before this call.
+  /// Resolve an xid through its shard (takes the shard mutex). The
+  /// returned pointer is only guaranteed live while the xact cannot be
+  /// torn down: the caller holds an epoch pin taken before this call.
   SerializableXact* LookupXact(XactId xid) const;
-  /// Free x now (legacy) or retire it to the epoch limbo.
-  void FreeXact(SerializableXact* x);
 
   EngineConfig cfg_;
-  // Fine-grained conflict locking (cfg_.conflict_lock_mode != 0).
-  bool fine_locking_;
-  // Epoch-based reclamation (cfg_.epoch_reclaim != 0 && epoch_ != null).
   util::EpochManager* epoch_;
-  bool epoch_mode_;
   size_t partition_count_;  // power of two
   size_t partition_mask_;
   std::unique_ptr<Partition[]> partitions_;
@@ -457,34 +405,16 @@ class SireadLockManager {
   // under default promotion thresholds).
   std::atomic<int64_t> rel_lock_count_{0};
 
-  // Xact registry. Membership lives in the hashed shards (insertion and
-  // unlinking take one shard mutex). registry_mu_ is the mode switch:
-  // shared on the conflict path; exclusive only for legacy
-  // (epoch_reclaim=0) teardown sweeps — which freeze membership and
-  // edge lists the old way — for CheckConsistency, and for every
-  // conflict-path acquisition in global-mutex conflict_lock_mode=0.
-  // Epoch-mode teardown never takes it exclusive: pointer liveness
-  // comes from epoch pins, edge freezing from the defunct barrier.
-  mutable std::shared_mutex registry_mu_;
+  // Xact registry: membership lives in the hashed shards (insertion and
+  // unlinking take one shard mutex). Pointer liveness comes from epoch
+  // pins, edge freezing from the defunct barrier.
   std::unique_ptr<XactShard[]> xact_shards_;
-
-  // Legacy-mode hint: smallest commit_seq among registered committed
-  // xacts; lets Cleanup bail with one atomic load when nothing can be
-  // freed yet. Ratcheted down by MarkCommitted (CAS, under the shared
-  // registry lock), recomputed exactly by legacy Cleanup under the
-  // exclusive registry lock. Epoch mode keeps the floor per shard
-  // instead (XactShard::min_committed, maintained under the shard
-  // mutex) — min_committed_seq_hint() folds whichever is active.
-  std::atomic<uint64_t> min_committed_seq_;
 
   // Stats: relaxed atomics, incremented from whichever lock context the
   // event occurs under and read lock-free by accessors.
   std::atomic<uint64_t> page_promotions_{0};
   std::atomic<uint64_t> relation_promotions_{0};
   std::atomic<uint64_t> ssi_aborts_{0};
-  // Mutable: bumped by const introspection (CheckConsistency) and by
-  // guards holding only a const manager pointer.
-  mutable std::atomic<uint64_t> registry_exclusive_acquires_{0};
 };
 
 }  // namespace pgssi::ssi

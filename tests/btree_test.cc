@@ -18,7 +18,8 @@ std::string K(uint64_t i) {
 }
 
 TEST(BTreeTest, InsertLookupBasic) {
-  BTree t(4);
+  util::EpochManager em;
+  BTree t(4, &em);
   PageId pg;
   uint32_t slot;
   EXPECT_TRUE(t.Insert("b", 1, &pg, &slot));
@@ -35,7 +36,8 @@ TEST(BTreeTest, InsertLookupBasic) {
 }
 
 TEST(BTreeTest, DuplicateInsertRejectedAndReportsLocation) {
-  BTree t(4);
+  util::EpochManager em;
+  BTree t(4, &em);
   PageId pg1, pg2;
   uint32_t s1, s2;
   EXPECT_TRUE(t.Insert("x", 10, &pg1, &s1));
@@ -48,7 +50,8 @@ TEST(BTreeTest, DuplicateInsertRejectedAndReportsLocation) {
 }
 
 TEST(BTreeTest, ManyKeysSortedScanAcrossSplits) {
-  BTree t(4);  // tiny fanout: force deep splits
+  util::EpochManager em;
+  BTree t(4, &em);  // tiny fanout: force deep splits
   std::map<std::string, TupleId> model;
   PageId pg;
   // Insert in a scrambled deterministic order.
@@ -89,7 +92,8 @@ TEST(BTreeTest, ManyKeysSortedScanAcrossSplits) {
 }
 
 TEST(BTreeTest, SplitListenerReportsMovedSlots) {
-  BTree t(4);
+  util::EpochManager em;
+  BTree t(4, &em);
   int splits = 0;
   std::vector<uint32_t> last_moved;
   PageId last_old = 0, last_new = 0;
@@ -119,7 +123,8 @@ TEST(BTreeTest, SplitListenerReportsMovedSlots) {
 }
 
 TEST(BTreeTest, PageForAndNextKey) {
-  BTree t(4);
+  util::EpochManager em;
+  BTree t(4, &em);
   PageId pg;
   for (uint64_t i = 0; i < 50; i += 2) t.Insert(K(i), i, &pg);
 
@@ -146,53 +151,43 @@ TEST(BTreeTest, PageForAndNextKey) {
 // none of, and the root's leftmost descent path must stay landable.
 // This pins both halves of that decision: after erasing EVERY key the
 // tree holds exactly the one empty anchor leaf (bounded leftover, not
-// a leak), and the anchor is still fully usable for reinsertion. Run
-// in both reclamation modes — in epoch mode the recycled leaves and
-// erased entries must actually reach the limbo and get freed.
+// a leak), and the anchor is still fully usable for reinsertion. The
+// recycled leaves and erased entries must actually reach the limbo and
+// get freed.
 TEST(BTreeTest, LeftmostLeafSurvivesFullEraseAndStaysUsable) {
-  for (bool epoch_mode : {false, true}) {
-    SCOPED_TRACE(epoch_mode ? "epoch" : "legacy");
-    util::EpochManager em;
-    BTree t(4, epoch_mode ? &em : nullptr);
-    PageId pg;
-    uint32_t slot;
-    constexpr uint64_t kN = 64;
-    for (uint64_t i = 0; i < kN; i++) {
-      ASSERT_TRUE(t.Insert(K(i), i, &pg, &slot));
-    }
-    ASSERT_GT(t.LeafCount(), 1u);
-    for (uint64_t i = 0; i < kN; i++) {
-      ASSERT_TRUE(t.Erase(K(i), i));
-    }
-    EXPECT_EQ(t.size(), 0u);
-    // Everything but the anchor was recycled.
-    EXPECT_EQ(t.LeafCount(), 1u);
-    if (epoch_mode) {
-      // Retirees flow through the limbo, not the legacy retained lists,
-      // and a quiesce really frees them.
-      EXPECT_EQ(t.RetiredObjectCount(), 0u);
-      em.Quiesce();
-      EXPECT_EQ(em.RetiredObjectCount(), 0u);
-      EXPECT_GT(em.FreedObjectCount(), 0u);
-    } else {
-      // Legacy mode retains entries/leaves type-stably instead.
-      EXPECT_GT(t.RetiredObjectCount(), 0u);
-    }
-    // The surviving anchor still anchors: refill and read everything
-    // back in order.
-    for (uint64_t i = 0; i < kN; i++) {
-      ASSERT_TRUE(t.Insert(K(i), i + 100, &pg, &slot));
-    }
-    uint64_t expect = 0;
-    t.Scan(K(0), K(kN), [&](const std::string& k, TupleId tid, PageId,
-                            uint32_t) {
-      EXPECT_EQ(k, K(expect));
-      EXPECT_EQ(tid, expect + 100);
-      expect++;
-      return true;
-    });
-    EXPECT_EQ(expect, kN);
+  util::EpochManager em;
+  BTree t(4, &em);
+  PageId pg;
+  uint32_t slot;
+  constexpr uint64_t kN = 64;
+  for (uint64_t i = 0; i < kN; i++) {
+    ASSERT_TRUE(t.Insert(K(i), i, &pg, &slot));
   }
+  ASSERT_GT(t.LeafCount(), 1u);
+  for (uint64_t i = 0; i < kN; i++) {
+    ASSERT_TRUE(t.Erase(K(i), i));
+  }
+  EXPECT_EQ(t.size(), 0u);
+  // Everything but the anchor was recycled.
+  EXPECT_EQ(t.LeafCount(), 1u);
+  // Retirees flow through the limbo, and a quiesce really frees them.
+  em.Quiesce();
+  EXPECT_EQ(em.RetiredObjectCount(), 0u);
+  EXPECT_GT(em.FreedObjectCount(), 0u);
+  // The surviving anchor still anchors: refill and read everything
+  // back in order.
+  for (uint64_t i = 0; i < kN; i++) {
+    ASSERT_TRUE(t.Insert(K(i), i + 100, &pg, &slot));
+  }
+  uint64_t expect = 0;
+  t.Scan(K(0), K(kN), [&](const std::string& k, TupleId tid, PageId,
+                          uint32_t) {
+    EXPECT_EQ(k, K(expect));
+    EXPECT_EQ(tid, expect + 100);
+    expect++;
+    return true;
+  });
+  EXPECT_EQ(expect, kN);
 }
 
 }  // namespace

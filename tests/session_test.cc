@@ -1,6 +1,7 @@
 // Session step-API tests: would-block/park/retry on lock conflicts,
-// async deadlock detection among parked sessions, resumable DEFERRABLE
-// begins, cross-thread stepping, and the WAL commit gate.
+// deadlock detection among parked sessions and blocked embedded
+// transactions, resumable DEFERRABLE begins, cross-thread stepping, and
+// the WAL commit gate.
 #include "db/session.h"
 
 #include <gtest/gtest.h>
@@ -133,6 +134,48 @@ TEST(SessionTest, AsyncDeadlockDetectedAmongParkedSessions) {
   EXPECT_TRUE(StepUntilComplete(winner, [&] {
                 return winner.TryCommit();
               }).ok());
+}
+
+// One wait path for both front doors: an embedded Transaction blocked in
+// a row-lock wait and a parked Session share one wait-for graph. The
+// embedded txn closes the cycle; the session (younger xid) is the victim,
+// so the embedded txn's registration must wake it, and its re-issued
+// step fails with a deadlock — long before the 5 s lock-wait timeout.
+TEST(SessionTest, BlockedEmbeddedTxnWakesParkedDeadlockVictim) {
+  DatabaseOptions opts = S2plOptions();
+  opts.engine.lock_wait_timeout_us = 5'000'000;
+  auto db = Database::Open(opts);
+  TableId t = Seed(db.get(), {"k1", "k2"});
+
+  auto embedded = db->Begin(kSer);
+  ASSERT_TRUE(embedded->Put(t, "k2", "e").ok());
+  Session s(db.get());
+  ASSERT_TRUE(s.TryBegin(kSer).ok());
+  ASSERT_GT(s.xid(), embedded->xid());
+  ASSERT_TRUE(s.TryPut(t, "k1", "s").ok());
+  ASSERT_TRUE(s.TryPut(t, "k2", "s").IsWouldBlock());
+  auto token = s.wait_token();
+  ASSERT_NE(token, nullptr);
+
+  Status embedded_st;
+  int64_t embedded_wait_us = -1;
+  std::thread blocked([&] {
+    const auto start = std::chrono::steady_clock::now();
+    embedded_st = embedded->Put(t, "k1", "e");
+    embedded_wait_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  });
+  EXPECT_TRUE(token->WaitFor(1'000'000)) << "deadlock victim never woken";
+  Status st = s.TryPut(t, "k2", "s");
+  EXPECT_TRUE(st.IsSerializationFailure()) << st.ToString();
+  EXPECT_NE(st.ToString().find("deadlock detected"), std::string::npos)
+      << st.ToString();
+  blocked.join();
+  EXPECT_TRUE(embedded_st.ok()) << embedded_st.ToString();
+  EXPECT_LT(embedded_wait_us, 1'000'000);
+  ASSERT_TRUE(embedded->Commit().ok());
+  EXPECT_EQ(db->RowLockCount(), 0u);
 }
 
 TEST(SessionTest, DeferrableBeginParksAndResumes) {

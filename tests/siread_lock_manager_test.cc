@@ -16,7 +16,8 @@ bool Holds(const ProbeResult& r, XactId x) {
 
 TEST(SireadLockManagerTest, ProbeHitAndMiss) {
   EngineConfig cfg;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact x;
   x.xid = 7;
   mgr.AcquireTuple(&x, 1, 10, 3);
@@ -32,7 +33,8 @@ TEST(SireadLockManagerTest, ProbeHitAndMiss) {
 TEST(SireadLockManagerTest, AcquireIsIdempotent) {
   EngineConfig cfg;
   cfg.max_locks_per_page = 3;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact x;
   x.xid = 1;
   for (int i = 0; i < 10; i++) mgr.AcquireTuple(&x, 1, 5, 2);
@@ -44,7 +46,8 @@ TEST(SireadLockManagerTest, TupleToPagePromotionAtThreshold) {
   EngineConfig cfg;
   cfg.max_locks_per_page = 3;
   cfg.max_pages_per_relation = 100;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact x;
   x.xid = 9;
 
@@ -72,7 +75,8 @@ TEST(SireadLockManagerTest, PageToRelationPromotionAtThreshold) {
   EngineConfig cfg;
   cfg.max_locks_per_page = 1;
   cfg.max_pages_per_relation = 2;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact x;
   x.xid = 5;
 
@@ -94,7 +98,8 @@ TEST(SireadLockManagerTest, PageToRelationPromotionAtThreshold) {
 
 TEST(SireadLockManagerTest, PageSplitTransfersLocks) {
   EngineConfig cfg;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact reader;
   reader.xid = 11;
   mgr.AcquireTuple(&reader, 1, /*page=*/1, /*slot=*/5);
@@ -119,7 +124,8 @@ TEST(SireadLockManagerTest, PageSplitTransfersLocks) {
 
 TEST(SireadLockManagerTest, AbortReleasesEverything) {
   EngineConfig cfg;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact* x = mgr.Register(21, 0, false);
   mgr.AcquireTuple(x, 1, 1, 1);
   mgr.AcquirePage(x, 1, 2);
@@ -136,7 +142,8 @@ TEST(SireadLockManagerTest, AbortReleasesEverything) {
 
 TEST(SireadLockManagerTest, SireadLocksSurviveCommitUntilCleanup) {
   EngineConfig cfg;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact* x = mgr.Register(31, /*snapshot_seq=*/10, false);
   mgr.AcquireTuple(x, 1, 7, 0);
 
@@ -161,7 +168,8 @@ TEST(SireadLockManagerTest, SireadLocksSurviveCommitUntilCleanup) {
 // Fails if Cleanup's exact recompute over survivors is removed.
 TEST(SireadLockManagerTest, CleanupAdvancesMinCommittedFloorWhenFloorRetires) {
   EngineConfig cfg;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact* floor_xact = mgr.Register(1, 0, false);
   SerializableXact* survivor = mgr.Register(2, 0, false);
   mgr.AcquireTuple(survivor, 1, 1, 1);
@@ -187,7 +195,8 @@ TEST(SireadLockManagerTest, CleanupAdvancesMinCommittedFloorWhenFloorRetires) {
 // both partners of a pivot.
 TEST(SireadLockManagerTest, StickySeqZeroIsNotTheEmptySentinel) {
   EngineConfig cfg;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact pivot;
   pivot.xid = 1;
   pivot.sticky_in = true;             // cleaned-up in-partner
@@ -210,7 +219,8 @@ TEST(SireadLockManagerTest, StickySeqZeroIsNotTheEmptySentinel) {
 TEST(SireadLockManagerTest, GapTransferEscalatesAndSkipsDoomed) {
   EngineConfig cfg;
   cfg.max_locks_per_page = 4;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact scanner;
   scanner.xid = 1;
   mgr.AcquireTuple(&scanner, 1, /*page=*/1, /*slot=*/0);
@@ -235,7 +245,8 @@ TEST(SireadLockManagerTest, GapTransferEscalatesAndSkipsDoomed) {
 
 TEST(SireadLockManagerTest, WriteSupersedesSireadRelease) {
   EngineConfig cfg;
-  SireadLockManager mgr(cfg);
+  util::EpochManager em;
+  SireadLockManager mgr(cfg, &em);
   SerializableXact x;
   x.xid = 41;
   mgr.AcquireTuple(&x, 1, 3, 4);

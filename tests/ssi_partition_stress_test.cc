@@ -38,8 +38,7 @@ TEST(SsiPartitionStressTest, ManagerChaosLeavesBookkeepingConsistent) {
   cfg.max_locks_per_page = 4;       // exercise tuple->page promotion
   cfg.max_pages_per_relation = 8;   // and page->relation promotion
   cfg.lock_partitions = 16;
-  // Epoch-mode teardown (the default): granules and xacts retire
-  // through the limbo while the chaos runs.
+  // Granules and xacts retire through the limbo while the chaos runs.
   util::EpochManager em;
   ssi::SireadLockManager mgr(cfg, &em);
 
@@ -122,18 +121,13 @@ TEST(SsiPartitionStressTest, ManagerChaosLeavesBookkeepingConsistent) {
 // PreCommit, MarkCommitted, teardown, Cleanup sweeps — on overlapping
 // xact pairs (partners picked from a shared ring of recently registered
 // xids, resolved by xid because they may already be torn down). This is
-// the workload the per-xact edge locks must survive; run under both
-// settings of the conflict_lock_mode A/B knob — and both settings of
-// epoch_reclaim, since teardown-vs-flag races are exactly what the
-// epoch grace period must make safe — ending in a full conflict-graph
-// + lock-table consistency check.
-void RunConflictStorm(uint32_t conflict_lock_mode, uint32_t epoch_reclaim) {
+// the workload the per-xact edge locks must survive, and teardown-vs-flag
+// races are exactly what the epoch grace period must make safe; it ends
+// in a full conflict-graph + lock-table consistency check.
+TEST(SsiPartitionStressTest, ConflictStormFineGrained) {
   EngineConfig cfg;
-  cfg.conflict_lock_mode = conflict_lock_mode;
-  cfg.epoch_reclaim = epoch_reclaim;
   util::EpochManager em;
-  ssi::SireadLockManager mgr(cfg, epoch_reclaim != 0 ? &em : nullptr);
-  ASSERT_EQ(mgr.epoch_mode(), epoch_reclaim != 0);
+  ssi::SireadLockManager mgr(cfg, &em);
 
   constexpr int kThreads = 8;
   constexpr int kXactsPerThread = 250 / PGSSI_STRESS_SCALE;
@@ -182,24 +176,10 @@ void RunConflictStorm(uint32_t conflict_lock_mode, uint32_t epoch_reclaim) {
   mgr.Cleanup(commit_seq.load());
   EXPECT_EQ(mgr.RegisteredCount(), 0u);
   EXPECT_EQ(mgr.TotalLockCount(), 0u);
-  if (epoch_reclaim != 0) {
-    // After quiesce every retired xact/granule must really be gone.
-    em.Quiesce();
-    EXPECT_EQ(em.RetiredObjectCount(), 0u);
-  }
+  // After quiesce every retired xact/granule must really be gone.
+  em.Quiesce();
+  EXPECT_EQ(em.RetiredObjectCount(), 0u);
   EXPECT_TRUE(mgr.CheckConsistency());
-}
-
-TEST(SsiPartitionStressTest, ConflictStormFineGrained) {
-  RunConflictStorm(1, /*epoch_reclaim=*/1);
-}
-
-TEST(SsiPartitionStressTest, ConflictStormFineGrainedLegacyReclaim) {
-  RunConflictStorm(1, /*epoch_reclaim=*/0);
-}
-
-TEST(SsiPartitionStressTest, ConflictStormGlobalMutexBaseline) {
-  RunConflictStorm(0, /*epoch_reclaim=*/1);
 }
 
 int ReadInt(Transaction* txn, TableId t, const std::string& key, bool* ok) {

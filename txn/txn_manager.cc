@@ -87,6 +87,10 @@ uint64_t TxnManager::Commit(XactId xid,
   }
   ring_[static_cast<size_t>(seq) & (kCommitRing - 1)].store(
       seq, std::memory_order_release);
+  // Store-then-load against a predecessor doing the same on its own slot:
+  // without a full fence each side may miss the other's store, and then
+  // neither publishes this seq (its committer would wait forever).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 
   // Batched publication: advance the watermark across every contiguously
   // completed seq. If our predecessor is still stamping we leave our seq

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <thread>
+#include <utility>
 
 namespace pgssi::util {
 
@@ -104,7 +105,8 @@ void EpochManager::SweepGenerationLocked(Generation& g) {
 void EpochManager::TryAdvanceAndSweep() {
   if (!advance_mu_.try_lock()) return;  // someone else is on it
   const uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-  const uint64_t min_pinned = MinPinnedEpoch();
+  uint64_t min_pinned = MinPinnedEpoch();
+  if (test_after_pin_scan_) std::exchange(test_after_pin_scan_, nullptr)();
 
   // Advance once every pinned slot has observed the current epoch. With
   // no pins at all (min == UINT64_MAX) advancing is always allowed.
@@ -115,13 +117,15 @@ void EpochManager::TryAdvanceAndSweep() {
   // Sweep rule: generation G (holding epoch-G retirees) is free once
   // every pin post-dates it by two epochs — a pinned reader spans at
   // most [pin_epoch, pin_epoch + 1), so min_pinned >= G + 2 means no
-  // pin can have begun while epoch-G objects were still linked. With no
-  // pins, references cannot be held at all (the Pin contract), so
-  // everything sweeps.
+  // pin can have begun while epoch-G objects were still linked. "No
+  // pins" only holds for the instant of the scan: a thread pinning
+  // after it stamps at least `e` and may hold anything retired since,
+  // so it counts as min_pinned = e + 1 (generations before e sweep).
+  if (min_pinned == UINT64_MAX) min_pinned = e + 1;
   for (auto& g : gens_) {
     std::lock_guard<SpinLock> lg(g.mu);
     if (g.head == nullptr) continue;
-    if (min_pinned == UINT64_MAX || g.epoch + 2 <= min_pinned) {
+    if (g.epoch + 2 <= min_pinned) {
       SweepGenerationLocked(g);
     }
   }

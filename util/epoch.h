@@ -15,8 +15,9 @@
 //  - TryAdvanceAndSweep() advances the global epoch once every pinned
 //    slot has observed it, and frees limbo generations that every
 //    current pin provably post-dates (generation epoch + 2 <= the
-//    minimum pinned epoch; with no pins at all, everything is free
-//    game — references are only ever held under a pin).
+//    minimum pinned epoch). A scan that finds no pins at all still
+//    races threads that pin right after it, so it frees only the
+//    generations retired before the epoch read ahead of the scan.
 //
 // Slots are cache-line-aligned and hashed by thread id; a collision
 // merely makes two threads share a pin slot, which is conservative
@@ -37,6 +38,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 #include "util/spinlock.h"
 
@@ -107,6 +110,13 @@ class EpochManager {
   /// retires); tests and shutdown use it to prove the bound.
   void Quiesce();
 
+  /// Test-only: run `fn` once, inside the next TryAdvanceAndSweep,
+  /// between its pin scan and its sweep — the window in which a thread
+  /// can pin and retire unseen by the scan.
+  void TestAfterPinScan(std::function<void()> fn) {
+    test_after_pin_scan_ = std::move(fn);
+  }
+
  private:
   struct RetiredNode {
     RetiredNode* next;
@@ -142,6 +152,7 @@ class EpochManager {
   std::atomic<uint64_t> freed_count_{0};
   std::atomic<uint64_t> tick_{0};
   SpinLock advance_mu_;  // serializes advance/sweep attempts
+  std::function<void()> test_after_pin_scan_;  // advance_mu_
 };
 
 }  // namespace pgssi::util

@@ -6,10 +6,10 @@
 // one per-table latch. Stripe count 1 reproduces the old single-latch
 // behavior (the bench A/B baseline, EngineConfig::heap_stripes).
 //
-// The latch guards only chain *content* (the versions vector). Structure
-// — index shape, chain creation/removal, the tuples container layout —
-// is guarded by the table's index latch, which every chain access takes
-// shared first. Lock order: index latch > stripe > SIREAD partition.
+// The latch guards only chain *content* (the versions vector). Index
+// shape is guarded by the B+-tree's own leaf/structure locks (taken
+// after the stripe), chain allocation by the table's alloc_mu. Lock
+// order: stripe > tree locks > SIREAD partition.
 #pragma once
 
 #include <cstdint>
