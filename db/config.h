@@ -117,11 +117,9 @@ struct EngineConfig {
   // Row-lock wait ceiling (fallback; the wait-for graph detects real
   // deadlocks much sooner).
   uint64_t lock_wait_timeout_us = 2'000'000;
-  // How long a blocking row-lock wait sleeps on its wait token before
-  // re-issuing the acquisition (which re-runs deadlock detection). Also
-  // the deadline-poll interval for parked sessions with no wait token
-  // (DEFERRABLE safe-snapshot waits) and the net server's parked-session
-  // re-check backstop.
+  // How long a blocking call waits on its step's wait token before
+  // re-issuing the step (which re-runs deadlock detection and deadline
+  // checks). Also the net server's parked-session re-check backstop.
   uint64_t deadlock_check_interval_us = 2'000;
 
   // ----- network front end (net/) -----

@@ -181,10 +181,9 @@ Database::Table* Database::GetTable(TableId id) const {
 }
 
 std::unique_ptr<Transaction> Database::Begin(const TxnOptions& opts) {
-  auto t = std::unique_ptr<Transaction>(new Transaction(this, opts));
-  // Blocking mode never fails Start (the DEFERRABLE loop runs to
-  // completion inside).
-  (void)t->Start(/*non_blocking=*/false);
+  auto t = std::make_unique<Transaction>(this, opts);
+  // A fresh handle's begin never fails; it can only wait (DEFERRABLE).
+  (void)t->Blocking([&] { return t->TryBegin(); });
   return t;
 }
 
@@ -346,33 +345,26 @@ Transaction::Transaction(Database* db, const TxnOptions& opts)
   use_ssi_ = serializable && !use_s2pl_;
 }
 
-Status Transaction::Start(bool non_blocking) {
+Status Transaction::TryBegin() {
+  if (finished_) return Status::InvalidArgument("no open transaction");
   if (started_) return Status::OK();
-  non_blocking_ = non_blocking;
 
   if (use_ssi_ && opts_.read_only && opts_.deferrable) {
     // DEFERRABLE: loop until a snapshot is retroactively proven safe
     // (Section 4 / Section 8.4). Take a snapshot, wait out every
     // read-write serializable transaction concurrent with it, and check
-    // none of them committed with a dangerous out-edge. In non-blocking
-    // mode the "wait out" leg is a resumable state machine: the begun
-    // snapshot parks in def_* and kWouldBlock tells the session to
-    // re-call Start later (no wait token — the caller deadline-polls;
-    // wiring per-xid finish notifications isn't worth it for a begin
-    // path that is rare by construction).
+    // none of them committed with a dangerous out-edge. The "wait out"
+    // leg is resumable: the begun snapshot stays in def_* while the step
+    // returns kWouldBlock on a token that the next serializable
+    // read-write deregistration signals.
     for (;;) {
       if (!def_pending_) {
         def_begin_ = db_->txn_mgr_.Begin(/*serializable_rw=*/false);
         def_concurrent_ = db_->txn_mgr_.ActiveSerializableRW();
         def_pending_ = true;
       }
-      if (non_blocking_) {
-        if (db_->txn_mgr_.AnyActive(def_concurrent_)) {
-          wait_token_ = nullptr;
-          return Status(Code::kWouldBlock, "deferrable safe-snapshot wait");
-        }
-      } else {
-        db_->txn_mgr_.WaitForFinish(def_concurrent_);
+      if (db_->txn_mgr_.AwaitFinish(def_concurrent_, &wait_token_)) {
+        return Status(Code::kWouldBlock, "deferrable safe-snapshot wait");
       }
       bool unsafe = false;
       for (XactId x : def_concurrent_) {
@@ -420,33 +412,23 @@ Status Transaction::Start(bool non_blocking) {
 
 Status Transaction::AcquireRowLock(TableId table, const std::string& key,
                                    LockTable::Mode mode) {
-  const EngineConfig& eng = db_->opts_.engine;
-  // The wait deadline spans waits and suspensions: it anchors at the
-  // first would-block of this lock and is cleared when the acquisition
+  // The wait deadline spans re-issues: it anchors at the first
+  // would-block of this lock and is cleared when the acquisition
   // succeeds (the op then either finishes or would-blocks on a LATER
   // lock, restarting the clock — each lock in a multi-lock op gets its
   // own full timeout).
-  for (;;) {
-    const uint64_t now = NowMicros();
-    const bool timed_out = wait_started_us_ != 0 &&
-                           now > wait_started_us_ + eng.lock_wait_timeout_us;
-    util::WaitTokenPtr token;
-    Status st =
-        db_->row_locks_.AcquireAsync(xid_, table, key, mode, timed_out, &token);
-    if (st.code() != Code::kWouldBlock) {
-      wait_started_us_ = 0;
-      wait_token_ = nullptr;
-      return st;
-    }
-    if (wait_started_us_ == 0) wait_started_us_ = now;
-    if (non_blocking_) {
-      wait_token_ = std::move(token);
-      return st;
-    }
-    token->WaitFor(eng.deadlock_check_interval_us != 0
-                       ? eng.deadlock_check_interval_us
-                       : 1000);
+  const uint64_t now = NowMicros();
+  const bool timed_out =
+      wait_started_us_ != 0 &&
+      now > wait_started_us_ + db_->opts_.engine.lock_wait_timeout_us;
+  Status st = db_->row_locks_.AcquireAsync(xid_, table, key, mode, timed_out,
+                                           &wait_token_);
+  if (!st.IsWouldBlock()) {
+    wait_started_us_ = 0;
+  } else if (wait_started_us_ == 0) {
+    wait_started_us_ = now;
   }
+  return st;
 }
 
 Transaction::~Transaction() {
@@ -454,7 +436,10 @@ Transaction::~Transaction() {
 }
 
 Status Transaction::CheckActive() {
-  if (finished_) return Status::Internal("transaction already finished");
+  if (finished_) return Status::InvalidArgument("no open transaction");
+  if (!started_) {
+    return Status::InvalidArgument("begin still pending (re-call TryBegin)");
+  }
   if (sxact_ && db_->siread_.Doomed(sxact_)) {
     AbortInternal();
     return Status::SerializationFailure(
@@ -465,7 +450,7 @@ Status Transaction::CheckActive() {
 
 void Transaction::AbortInternal() {
   if (!started_) {
-    // A session tore down mid-begin. A parked DEFERRABLE begin has a
+    // Aborted mid-begin. A parked DEFERRABLE begin has a
     // registered (snapshot-pinning) xid that must deregister, but no
     // writes, locks, or SIREAD state exist yet.
     if (def_pending_) {
@@ -521,8 +506,14 @@ Status Transaction::Abort() {
 }
 
 Status Transaction::Commit() {
-  if (finished_) return Status::Internal("transaction already finished");
-  if (non_blocking_ && !writes_.empty() && db_->wal_ != nullptr &&
+  Status st = CheckActive();
+  return st.ok() ? CommitBody() : st;
+}
+
+Status Transaction::TryCommit() {
+  Status st = CheckActive();
+  if (!st.ok()) return st;
+  if (!writes_.empty() && db_->wal_ != nullptr &&
       db_->opts_.engine.wal_fsync != WalFsyncMode::kOff) {
     // WAL commit gate: if a group fsync is in flight RIGHT NOW, a
     // commit started here would queue behind it and block the worker
@@ -541,19 +532,16 @@ Status Transaction::Commit() {
       return Status::SerializationFailure(
           "wal commit gate timeout: fsync stalled; retry the transaction");
     }
-    auto token = std::make_shared<util::WaitToken>();
-    if (db_->wal_->RegisterSyncWaiter(token)) {
+    if (db_->wal_->RegisterSyncWaiter(&wait_token_)) {
       if (wait_started_us_ == 0) wait_started_us_ = now;
-      wait_token_ = std::move(token);
       return Status(Code::kWouldBlock, "wal group fsync in flight");
     }
     wait_started_us_ = 0;
   }
-  if (sxact_ && db_->siread_.Doomed(sxact_)) {
-    AbortInternal();
-    return Status::SerializationFailure(
-        "canceled due to rw-antidependency conflict");
-  }
+  return CommitBody();
+}
+
+Status Transaction::CommitBody() {
   if (sxact_) {
     // Commit-time dangerous-structure test (Section 3.3).
     Status st = db_->siread_.PreCommit(sxact_);
@@ -757,18 +745,17 @@ void Transaction::AcquireGapLock(Database::Table* tbl,
 // Reads
 // ---------------------------------------------------------------------------
 
-Status Transaction::Get(TableId table, const std::string& key,
-                        std::string* value) {
+Status Transaction::TryGet(TableId table, const std::string& key,
+                           std::string* value) {
   Status st = CheckActive();
   if (!st.ok()) return st;
   Database::Table* tbl = db_->GetTable(table);
   if (!tbl) return Status::InvalidArgument("no such table");
-  SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
 
   if (use_s2pl_) {
     st = AcquireRowLock(table, key, LockTable::Mode::kShared);
-    // Would-block: return BEFORE any mutation/pin/latch — the session
-    // re-issues this Get verbatim after the wait token fires.
+    // Would-block: return BEFORE any mutation/pin/latch/stall — the
+    // caller re-issues this Get verbatim after the wait token fires.
     if (st.IsWouldBlock()) return st;
     if (!st.ok()) {
       db_->s2pl_deadlocks_.fetch_add(1, std::memory_order_relaxed);
@@ -776,6 +763,7 @@ Status Transaction::Get(TableId table, const std::string& key,
       return st;
     }
   }
+  SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
 
   // Pin the whole lookup→track→Validate region (taken after the row-lock
   // wait above, never across it).
@@ -816,7 +804,6 @@ Status Transaction::ScanInternal(
   if (!st.ok()) return st;
   Database::Table* tbl = db_->GetTable(table);
   if (!tbl) return Status::InvalidArgument("no such table");
-  SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
 
   if (use_s2pl_) {
     // Phantom stub: the table-gap lock blocks concurrent inserts/deletes.
@@ -850,6 +837,7 @@ Status Transaction::ScanInternal(
         return st;
       }
     }
+    SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
     // Pinned re-read; the per-key lock waits above stay unpinned.
     util::EpochManager::Pin pin(&db_->epoch_);
     for (const std::string& k : keys) {
@@ -872,6 +860,7 @@ Status Transaction::ScanInternal(
   // tracking follows acquire-then-validate — locks land before the view
   // is validated, results are emitted only after it passes, and a failed
   // validation redoes the same batch (cur is unchanged).
+  SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
   // One pin for the whole scan: a long scan stretches grace periods
   // rather than risking a batch's ReadView outliving its leaf.
   util::EpochManager::Pin pin(&db_->epoch_);
@@ -918,9 +907,9 @@ Status Transaction::ScanInternal(
   }
 }
 
-Status Transaction::Scan(TableId table, const std::string& lo,
-                         const std::string& hi,
-                         std::vector<std::pair<std::string, std::string>>* out) {
+Status Transaction::TryScan(
+    TableId table, const std::string& lo, const std::string& hi,
+    std::vector<std::pair<std::string, std::string>>* out) {
   if (out) out->clear();
   return ScanInternal(table, lo, hi,
                       [out](const std::string& k, const std::string& v) {
@@ -928,8 +917,8 @@ Status Transaction::Scan(TableId table, const std::string& lo,
                       });
 }
 
-Status Transaction::Count(TableId table, const std::string& lo,
-                          const std::string& hi, uint64_t* n) {
+Status Transaction::TryCount(TableId table, const std::string& lo,
+                             const std::string& hi, uint64_t* n) {
   uint64_t c = 0;
   Status st = ScanInternal(table, lo, hi,
                            [&c](const std::string&, const std::string&) { c++; });
@@ -951,13 +940,12 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
   }
   Database::Table* tbl = db_->GetTable(table);
   if (!tbl) return Status::InvalidArgument("no such table");
-  SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
 
   // Row lock first (never while holding a stripe or an epoch pin). For
   // SI/SSI this is the blocking half of first-updater-wins; for S2PL it
   // is the exclusive lock held to commit.
   st = AcquireRowLock(table, key, LockTable::Mode::kExclusive);
-  // Would-block precedes every mutation: the session re-issues this
+  // Would-block precedes every mutation: the caller re-issues this
   // write verbatim on wakeup (the key lock, once granted, stays held).
   if (st.IsWouldBlock()) return st;
   if (!st.ok()) {
@@ -984,6 +972,7 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
       }
     }
   }
+  SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
 
   // Existing chain: a single-chain write — the chain's stripe held
   // exclusively. Writers of independent keys land on independent
@@ -1188,17 +1177,17 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
   return Status::OK();
 }
 
-Status Transaction::Put(TableId table, const std::string& key,
-                        const std::string& value) {
+Status Transaction::TryPut(TableId table, const std::string& key,
+                           const std::string& value) {
   return WriteInternal(table, key, value, /*deleted=*/false, /*upsert=*/true);
 }
 
-Status Transaction::Insert(TableId table, const std::string& key,
-                           const std::string& value) {
+Status Transaction::TryInsert(TableId table, const std::string& key,
+                              const std::string& value) {
   return WriteInternal(table, key, value, /*deleted=*/false, /*upsert=*/false);
 }
 
-Status Transaction::Delete(TableId table, const std::string& key) {
+Status Transaction::TryDelete(TableId table, const std::string& key) {
   return WriteInternal(table, key, "", /*deleted=*/true, /*upsert=*/true);
 }
 

@@ -10,9 +10,10 @@
 //    locking baseline of the paper's figures.
 //
 // There is one acquisition path, AcquireAsync: it grants, or registers
-// the caller as a waiter with a fresh wake-up token. A Session parks on
-// the token; a blocking Transaction waits on it for at most
-// deadlock_check_interval_us and then re-issues the call. Deadlocks are
+// the caller as a waiter with a fresh wake-up token. The caller's step
+// returns kWouldBlock with that token; the net server parks on it, and a
+// blocking Transaction call waits on it for at most
+// deadlock_check_interval_us and then re-issues the step. Deadlocks are
 // detected at every registration: the registrant computes its strongly
 // connected component of the wait-for graph, which covers every cycle it
 // participates in; the victim is the youngest (highest xid) member. A

@@ -7,8 +7,37 @@
 //    dangerous-structure aborts) or, when
 //    DatabaseOptions::serializable_impl == SerializableImpl::kS2PL,
 //    strict two-phase locking.
-// Transactions are single-threaded handles; the Database is safe for
-// concurrent use from many threads, each with its own Transaction.
+// The Database is safe for concurrent use from many threads, each
+// stepping its own Transaction.
+//
+// Every Transaction operation is a non-blocking step (TryBegin, TryGet,
+// TryPut, TryInsert, TryDelete, TryScan, TryCount, TryCommit): it either
+// completes or returns kWouldBlock without suspending the calling thread,
+// with wait_token() set. The net server parks a would-blocked connection
+// on that token and lets its worker pick up another; any thread may
+// re-issue the step later. The blocking Get/Put/.../Commit and
+// Database::Begin are one loop over the same steps: wait on the token
+// for at most deadlock_check_interval_us, then re-issue.
+//
+// Step contract:
+//  - On kWouldBlock, re-issue the *same* call with the same arguments
+//    once wait_token() fires (earlier is harmless). Every would-block
+//    site sits BEFORE the operation's first mutation, epoch pin, latch,
+//    or simulated I/O stall, so a re-issue re-enters granted row locks
+//    and resets out-parameters.
+//  - A wake is permission to retry, not a grant: the retry may
+//    would-block again. TryCommit re-parks at the WAL commit gate for as
+//    long as a group fsync is in flight, until lock_wait_timeout_us has
+//    passed since its first park; then it aborts with a retryable error.
+//  - A suspended transaction holds no epoch pin and no latch, only its
+//    granted row locks (2PL requires them); the wait-for graph covers
+//    parked and blocked transactions alike.
+//  - kSerializationFailure (and a commit's I/O error) means the step
+//    aborted the transaction; statement-level errors (NotFound,
+//    AlreadyExists, InvalidArgument) leave it open.
+//  - Abort() never blocks and is legal in every state.
+// A Transaction is NOT internally synchronized: callers serialize its
+// calls (the net server never steps a connection on two threads).
 #pragma once
 
 #include <array>
@@ -27,6 +56,7 @@
 #include "index/btree.h"
 #include "ssi/siread_lock_manager.h"
 #include "txn/txn_manager.h"
+#include "util/dcheck.h"
 #include "util/epoch.h"
 #include "util/status.h"
 #include "util/striped_latch.h"
@@ -38,13 +68,12 @@
 namespace pgssi {
 
 class Transaction;
-class Session;
 
 class Database {
  public:
-  /// Destruction contract: the owner must ensure no Transaction or
-  /// Session outlives the Database (the net server drains its sessions
-  /// in Stop() before the Database dies). ~Database then quiesces the
+  /// Destruction contract: the owner must ensure no Transaction
+  /// outlives the Database (the net server drains its connections in
+  /// Stop() before the Database dies). ~Database then quiesces the
   /// epoch limbo and closes the WAL explicitly, so every subsystem that
   /// retires memory through the EpochManager (first member, destroyed
   /// last) tears down while the manager is still fully alive.
@@ -67,6 +96,8 @@ class Database {
   /// kInvalidTable when the name is unknown.
   TableId GetTableId(const std::string& name) const;
 
+  /// Blocking begin: a started Transaction (a DEFERRABLE begin first
+  /// waits for its safe snapshot).
   std::unique_ptr<Transaction> Begin(const TxnOptions& opts = {});
 
   SsiStats GetSsiStats() const;
@@ -117,7 +148,6 @@ class Database {
 
  private:
   friend class Transaction;
-  friend class Session;
 
   struct Version {
     std::string value;
@@ -265,45 +295,89 @@ class Database {
 
 class Transaction {
  public:
+  /// An unstarted handle; TryBegin starts it (Database::Begin is the
+  /// blocking shortcut). Destruction aborts it unless finished.
+  Transaction(Database* db, const TxnOptions& opts);
   ~Transaction();
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
-  Status Get(TableId table, const std::string& key, std::string* value);
+  // ----- blocking API: each call loops over its step below -----
+  Status Get(TableId table, const std::string& key, std::string* value) {
+    return Blocking([&] { return TryGet(table, key, value); });
+  }
   /// Upsert.
-  Status Put(TableId table, const std::string& key, const std::string& value);
+  Status Put(TableId table, const std::string& key, const std::string& value) {
+    return Blocking([&] { return TryPut(table, key, value); });
+  }
   /// Fails with kAlreadyExists if a (visible) row exists.
   Status Insert(TableId table, const std::string& key,
-                const std::string& value);
-  Status Delete(TableId table, const std::string& key);
+                const std::string& value) {
+    return Blocking([&] { return TryInsert(table, key, value); });
+  }
+  Status Delete(TableId table, const std::string& key) {
+    return Blocking([&] { return TryDelete(table, key); });
+  }
   /// Inclusive range scan of visible rows, in key order.
   Status Scan(TableId table, const std::string& lo, const std::string& hi,
-              std::vector<std::pair<std::string, std::string>>* out);
+              std::vector<std::pair<std::string, std::string>>* out) {
+    return Blocking([&] { return TryScan(table, lo, hi, out); });
+  }
   Status Count(TableId table, const std::string& lo, const std::string& hi,
-               uint64_t* n);
-
+               uint64_t* n) {
+    return Blocking([&] { return TryCount(table, lo, hi, n); });
+  }
+  /// Runs the commit directly: it never enters the WAL commit gate (its
+  /// caller owns its thread, so there is no shared worker to free).
   Status Commit();
   /// Idempotent; a failed statement has already rolled the txn back.
   Status Abort();
 
+  // ----- step API (see the step contract at the top of this file) -----
+  /// Takes the snapshot and registers the transaction. kWouldBlock only
+  /// for a DEFERRABLE begin that must wait out concurrent read-write
+  /// serializable transactions (the token fires when one of them
+  /// finishes); re-call TryBegin to resume. OK once started.
+  Status TryBegin();
+  Status TryGet(TableId table, const std::string& key, std::string* value);
+  Status TryPut(TableId table, const std::string& key,
+                const std::string& value);
+  Status TryInsert(TableId table, const std::string& key,
+                   const std::string& value);
+  Status TryDelete(TableId table, const std::string& key);
+  Status TryScan(TableId table, const std::string& lo, const std::string& hi,
+                 std::vector<std::pair<std::string, std::string>>* out);
+  Status TryCount(TableId table, const std::string& lo, const std::string& hi,
+                  uint64_t* n);
+  /// The WAL commit gate, then the commit: kWouldBlock while a group
+  /// fsync is in flight (see the step contract).
+  Status TryCommit();
+  /// Wake-up source of the most recent kWouldBlock; never null after
+  /// one. Valid until the next step.
+  const util::WaitTokenPtr& wait_token() const { return wait_token_; }
+
   XactId xid() const { return xid_; }
   IsolationLevel isolation() const { return opts_.isolation; }
   bool read_only() const { return opts_.read_only; }
+  /// Begun (false while a DEFERRABLE begin is still pending).
+  bool started() const { return started_; }
   bool finished() const { return finished_; }
 
  private:
   friend class Database;
-  friend class Session;
-  Transaction(Database* db, const TxnOptions& opts);
 
-  /// Runs the Begin work (snapshot, registration, DEFERRABLE safe-
-  /// snapshot machinery). Blocking callers (Database::Begin) pass
-  /// non_blocking=false and always get kOk. Sessions pass true: a
-  /// DEFERRABLE begin that must wait out concurrent rw transactions
-  /// returns kWouldBlock with the pending state parked in def_* members
-  /// — re-calling Start resumes the state machine. Idempotent once
-  /// started.
-  Status Start(bool non_blocking);
+  // Runs `step` until it stops would-blocking, waiting on wait_token()
+  // for at most deadlock_check_interval_us between re-issues.
+  template <typename Step>
+  Status Blocking(Step step) {
+    const uint64_t interval = db_->opts_.engine.deadlock_check_interval_us;
+    for (;;) {
+      Status st = step();
+      if (!st.IsWouldBlock()) return st;
+      PGSSI_DCHECK(wait_token_ != nullptr);
+      wait_token_->WaitFor(interval != 0 ? interval : 1000);
+    }
+  }
 
   struct WriteRec {
     TableId table;
@@ -313,18 +387,19 @@ class Transaction {
     bool created = false;
   };
 
+  // Every step's entry check: "no open transaction" once finished,
+  // "begin still pending" before TryBegin completes, and the doomed
+  // check (which aborts).
   Status CheckActive();
   void AbortInternal();
+  // Commit after the gate: PreCommit, WAL append, stamp, release.
+  Status CommitBody();
   /// All five row-lock call sites funnel through here, onto
-  /// LockTable::AcquireAsync. Non-blocking mode (sessions): on conflict
-  /// the WaitToken parks in wait_token_ and kWouldBlock returns —
-  /// crucially BEFORE any mutation, epoch pin, or latch is taken, so the
-  /// caller can simply re-issue the same operation after the token fires
-  /// (acquisition is re-entrant; already-granted locks are kept).
-  /// Blocking mode waits on the token for at most
-  /// deadlock_check_interval_us, then re-issues (re-running the blocker
-  /// set and cycle test). The lock-wait deadline spans waits and
-  /// suspensions via wait_started_us_.
+  /// LockTable::AcquireAsync. On conflict the token lands in wait_token_
+  /// and kWouldBlock returns — BEFORE any mutation, epoch pin, or latch
+  /// is taken, so the caller re-issues the same operation after the
+  /// token fires (acquisition is re-entrant; granted locks are kept).
+  /// The lock-wait deadline spans re-issues via wait_started_us_.
   Status AcquireRowLock(TableId table, const std::string& key,
                         LockTable::Mode mode);
   // Serializes this transaction's write set into a kCommit payload (seq
@@ -361,18 +436,15 @@ class Transaction {
   bool finished_ = false;
   std::vector<WriteRec> writes_;
 
-  // ----- non-blocking session mode (db/session.h) -----
-  bool non_blocking_ = false;
+  // ----- step state -----
   bool started_ = false;
-  // Token for the most recent kWouldBlock (null => no wakeup source;
-  // the caller deadline-polls, e.g. DEFERRABLE begin waits).
+  // Token for the most recent kWouldBlock.
   util::WaitTokenPtr wait_token_;
   // First would-block instant of the currently-retried operation; the
   // lock-wait timeout is enforced against it across suspensions — for
   // row-lock waits and for WAL commit-gate parks alike (a stalled fsync
   // otherwise parks a committer forever). Reset on every successful
-  // lock acquisition batch completion (op finishes) and when the gate
-  // opens.
+  // lock acquisition and when the gate opens.
   uint64_t wait_started_us_ = 0;
   // DEFERRABLE resumable state: a begun-but-unproven snapshot waiting
   // out def_concurrent_.

@@ -21,13 +21,18 @@ namespace pgssi::net {
 namespace {
 constexpr int kEpollBatch = 64;
 constexpr size_t kReadChunk = 64 * 1024;
+
+// Begun and neither committed nor aborted.
+bool InTxn(const Transaction* t) {
+  return t != nullptr && t->started() && !t->finished();
+}
 }  // namespace
 
 struct Server::Conn {
-  explicit Conn(Database* db) : session(db) {}
-
   int fd = -1;
-  Session session;
+  // The connection's current transaction: null before the first Begin;
+  // a finished handle stays until the next Begin replaces it.
+  std::unique_ptr<Transaction> txn;
 
   // Scheduling states (see header comment).
   enum : int { kIdle = 0, kQueued = 1, kRunning = 2, kRunningRequeue = 3 };
@@ -37,7 +42,7 @@ struct Server::Conn {
   std::atomic<bool> parked{false};
   uint64_t park_deadline_us = 0;  // written before the parked_ push
   // Socket gone (EOF/error/protocol violation): the next worker pass
-  // aborts the session and drops the remaining ops.
+  // aborts the transaction and drops the remaining ops.
   std::atomic<bool> closing{false};
 
   // Parsed requests: epoll thread pushes, worker pops (ops_mu).
@@ -186,10 +191,10 @@ void Server::Stop() {
     parked_.clear();
   }
   for (auto& c : all) {
-    if (c->session.in_txn() || c->session.begin_pending()) {
+    if (c->txn && !c->txn->finished()) {
       shutdown_aborts_.fetch_add(1, std::memory_order_relaxed);
     }
-    (void)c->session.Abort();
+    c->txn.reset();  // aborts an open or pending transaction
     if (c->fd >= 0) {
       ::close(c->fd);
       c->fd = -1;
@@ -337,7 +342,7 @@ void Server::AcceptPending() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto c = std::make_shared<Conn>(db_);
+    auto c = std::make_shared<Conn>();
     c->fd = fd;
     c->last_activity_us.store(NowMicros(), std::memory_order_relaxed);
     epoll_event ev{};
@@ -634,7 +639,7 @@ void Server::RunConn(const ConnPtr& c) {
       // Socket gone: abort the in-flight transaction (releases its
       // locks, waking any session parked behind them) and drop the
       // remaining pipeline.
-      (void)c->session.Abort();
+      c->txn.reset();
       std::lock_guard<std::mutex> l(c->ops_mu);
       c->ops.clear();
       return;
@@ -677,76 +682,94 @@ void Server::RunConn(const ConnPtr& c) {
 }
 
 bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
-  Session& s = c->session;
+  Transaction* t = c->txn.get();
   Status st;
   std::string payload;
-  switch (req.op) {
-    case Op::kPing:
-      break;
-    case Op::kCreateTable: {
-      TableId id = kInvalidTable;
-      st = db_->CreateTable(req.name, &id);
-      // Open-or-create: AlreadyExists still reports the id.
-      if (st.ok() || st.code() == Code::kAlreadyExists) {
-        payload.clear();
-        PutU32(&payload, id);
-        st = Status::OK();
-      }
-      break;
-    }
-    case Op::kOpenTable: {
-      const TableId id = db_->GetTableId(req.name);
-      if (id == kInvalidTable) {
-        st = Status::NotFound("table " + req.name);
-      } else {
-        PutU32(&payload, id);
-      }
-      break;
-    }
-    case Op::kBegin:
-      st = s.TryBegin(TxnOptionsFromBegin(req));
-      break;
-    case Op::kGet: {
-      std::string v;
-      st = s.TryGet(req.table, req.key, &v);
-      if (st.ok()) payload = std::move(v);
-      break;
-    }
-    case Op::kPut:
-      st = s.TryPut(req.table, req.key, req.value);
-      break;
-    case Op::kInsert:
-      st = s.TryInsert(req.table, req.key, req.value);
-      break;
-    case Op::kDelete:
-      st = s.TryDelete(req.table, req.key);
-      break;
-    case Op::kScan: {
-      std::vector<std::pair<std::string, std::string>> rows;
-      st = s.TryScan(req.table, req.key, req.value, &rows);
-      if (st.ok()) {
-        PutU32(&payload, static_cast<uint32_t>(rows.size()));
-        for (const auto& [k, v] : rows) {
-          PutStr16(&payload, k);
-          PutStr32(&payload, v);
+  if (t == nullptr && req.op > Op::kBegin && req.op < Op::kAbort) {
+    // A statement before the first Begin. Later handles answer for
+    // themselves (Transaction::CheckActive), with the same status.
+    st = Status::InvalidArgument("no open transaction");
+  } else {
+    switch (req.op) {
+      case Op::kPing:
+        break;
+      case Op::kCreateTable: {
+        TableId id = kInvalidTable;
+        st = db_->CreateTable(req.name, &id);
+        // Open-or-create: AlreadyExists still reports the id.
+        if (st.ok() || st.code() == Code::kAlreadyExists) {
+          payload.clear();
+          PutU32(&payload, id);
+          st = Status::OK();
         }
+        break;
       }
-      break;
+      case Op::kOpenTable: {
+        const TableId id = db_->GetTableId(req.name);
+        if (id == kInvalidTable) {
+          st = Status::NotFound("table " + req.name);
+        } else {
+          PutU32(&payload, id);
+        }
+        break;
+      }
+      case Op::kBegin:
+        if (InTxn(t)) {
+          st = Status::InvalidArgument("transaction already open");
+          break;
+        }
+        // A re-issued parked Begin resumes its pending handle (keeping
+        // the original options); otherwise a fresh handle replaces any
+        // finished one.
+        if (t == nullptr || t->finished()) {
+          c->txn = std::make_unique<Transaction>(db_, TxnOptionsFromBegin(req));
+          t = c->txn.get();
+        }
+        st = t->TryBegin();
+        break;
+      case Op::kGet: {
+        std::string v;
+        st = t->TryGet(req.table, req.key, &v);
+        if (st.ok()) payload = std::move(v);
+        break;
+      }
+      case Op::kPut:
+        st = t->TryPut(req.table, req.key, req.value);
+        break;
+      case Op::kInsert:
+        st = t->TryInsert(req.table, req.key, req.value);
+        break;
+      case Op::kDelete:
+        st = t->TryDelete(req.table, req.key);
+        break;
+      case Op::kScan: {
+        std::vector<std::pair<std::string, std::string>> rows;
+        st = t->TryScan(req.table, req.key, req.value, &rows);
+        if (st.ok()) {
+          PutU32(&payload, static_cast<uint32_t>(rows.size()));
+          for (const auto& [k, v] : rows) {
+            PutStr16(&payload, k);
+            PutStr32(&payload, v);
+          }
+        }
+        break;
+      }
+      case Op::kCount: {
+        uint64_t cnt = 0;
+        st = t->TryCount(req.table, req.key, req.value, &cnt);
+        if (st.ok()) PutU64(&payload, cnt);
+        break;
+      }
+      case Op::kCommit:
+        c->phase.store(static_cast<int>(Conn::Phase::kCommitting),
+                       std::memory_order_relaxed);
+        st = t->TryCommit();
+        break;
+      case Op::kAbort:
+        c->txn.reset();  // never blocks; aborts an open or pending txn
+        t = nullptr;
+        break;
     }
-    case Op::kCount: {
-      uint64_t cnt = 0;
-      st = s.TryCount(req.table, req.key, req.value, &cnt);
-      if (st.ok()) PutU64(&payload, cnt);
-      break;
-    }
-    case Op::kCommit:
-      c->phase.store(static_cast<int>(Conn::Phase::kCommitting),
-                     std::memory_order_relaxed);
-      st = s.TryCommit();
-      break;
-    case Op::kAbort:
-      st = s.Abort();
-      break;
   }
 
   if (st.IsWouldBlock()) {
@@ -765,7 +788,7 @@ bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
     // Park. Order matters: mark parked, register the deadline tick,
     // THEN hook the token — a token that already fired runs the
     // callback inline and wins the exchange immediately.
-    c->park_deadline_us = NowMicros() + s.retry_interval_us();
+    c->park_deadline_us = NowMicros() + park_interval_us_;
     c->parked.store(true, std::memory_order_release);
     {
       std::lock_guard<std::mutex> l(parked_mu_);
@@ -775,17 +798,15 @@ bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
     // a quiet server it must switch to the parked-tick timeout NOW, or
     // this session's deadline (lock wait, commit gate) never fires.
     NudgeEpoll(c);
-    if (auto token = s.wait_token()) {
-      std::weak_ptr<Conn> w = c;
-      token->OnSignal([this, w] {
-        if (ConnPtr cc = w.lock()) {
-          // Delayed/lost wake: swallow the signal and let the epoll
-          // thread's deadline tick backstop the re-poll.
-          if (NetFault("net_wake_delay")) return;
-          if (cc->parked.exchange(false)) Enqueue(cc);
-        }
-      });
-    }
+    std::weak_ptr<Conn> w = c;
+    t->wait_token()->OnSignal([this, w] {
+      if (ConnPtr cc = w.lock()) {
+        // Delayed/lost wake: swallow the signal and let the epoll
+        // thread's deadline tick backstop the re-poll.
+        if (NetFault("net_wake_delay")) return;
+        if (cc->parked.exchange(false)) Enqueue(cc);
+      }
+    });
     return false;
   }
 
@@ -800,8 +821,8 @@ bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
     return true;
   }
 
-  c->phase.store(static_cast<int>(s.in_txn() ? Conn::Phase::kInTxn
-                                             : Conn::Phase::kIdle),
+  c->phase.store(static_cast<int>(InTxn(t) ? Conn::Phase::kInTxn
+                                            : Conn::Phase::kIdle),
                  std::memory_order_relaxed);
   const std::string frame =
       EncodeResponse(st.code(), st.ok() ? payload : st.message());

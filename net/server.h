@@ -6,21 +6,22 @@
 //   ------------------------------       ---------------------------
 //   accept / refuse                      pop conn from run queue
 //   read sockets, parse frames     --->  execute queued ops via the
-//   into per-conn op queues              non-blocking Session step API
+//   into per-conn op queues              Transaction step API (Try*)
 //   flush per-conn write buffers   <---  append response frames,
 //   parked-session deadline ticks        nudge the epoll thread
 //
 // Per-session state machine: idle -> in-txn -> awaiting-lock /
 // committing -> in-txn -> idle. A session whose step returns
 // kWouldBlock is PARKED: the worker registers a wake callback on the
-// wait token (a lock-table release or WAL fsync completion requeues the
-// connection) and moves on to another session. The epoll thread's
-// deadline tick requeues parked sessions with no token (DEFERRABLE
-// waits) and backstops lost tokens — a wake is only permission to
-// retry, so a spurious requeue costs one re-poll.
+// step's wait token (a lock-table release, a WAL fsync completion, or
+// a read-write transaction finishing under a DEFERRABLE begin requeues
+// the connection) and moves on to another session. The epoll thread's
+// deadline tick enforces the lock-wait and commit-gate deadlines and
+// recovers swallowed wakes — a wake is only permission to retry, so a
+// spurious requeue costs one re-poll.
 //
 // Scheduling invariant: at most one worker executes a given session at
-// a time (Session is not internally synchronized). Conn::sched is a
+// a time (a Transaction is not internally synchronized). Conn::sched is a
 // 4-state atomic (idle/queued/running/running-requeue): Enqueue CASes
 // idle->queued and pushes; a wake hitting a RUNNING conn sets
 // running-requeue and the worker loops the conn back itself.
@@ -75,7 +76,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "db/session.h"
 #include "db/transaction_handle.h"
 #include "net/wire.h"
 #include "util/status.h"

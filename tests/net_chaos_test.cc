@@ -156,6 +156,54 @@ bool ReadFrame(int fd, uint8_t* code, std::string* payload) {
 
 // ----- the storm -----
 
+// The storm parks sessions only by chance, so the two park-time sites
+// also fire once each by construction: a second client parks on a row
+// the first holds and is dropped there (net_drop_parked); then a
+// DEFERRABLE begin parks behind the first client's open read-write
+// transaction, and the token wake that its commit sends is swallowed
+// (net_wake_delay), leaving the deadline tick to resume the begin.
+void ForceParkSites(uint16_t port, Server* server) {
+  const TxnOptions ser{.isolation = IsolationLevel::kSerializable};
+  WireClient holder;
+  ASSERT_TRUE(holder.Connect("127.0.0.1", port).ok());
+  TableId t = kInvalidTable;
+  ASSERT_TRUE(holder.CreateTable("forced_parks", &t).ok());
+  ASSERT_TRUE(holder.Begin(ser).ok());
+  ASSERT_TRUE(holder.Put(t, "k", "held").ok());
+
+  util::FailpointArm("net_drop_parked", FailpointAction::kErr, 1);
+  WireClient dropped;
+  ASSERT_TRUE(dropped.Connect("127.0.0.1", port).ok());
+  ASSERT_TRUE(dropped.Begin(ser).ok());
+  Status st = dropped.Put(t, "k", "dropped");
+  EXPECT_EQ(st.code(), Code::kIOError) << st.ToString();
+
+  util::FailpointArm("net_wake_delay", FailpointAction::kErr, 1);
+  const uint64_t parks_before = server->stats().would_blocks;
+  Status def_st;
+  std::thread deferrable([&] {
+    WireClient d;
+    def_st = d.Connect("127.0.0.1", port);
+    if (def_st.ok()) {
+      def_st = d.Begin({.isolation = IsolationLevel::kSerializable,
+                        .read_only = true,
+                        .deferrable = true});
+    }
+    if (def_st.ok()) def_st = d.Commit();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server->stats().would_blocks == parks_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(server->stats().would_blocks, parks_before)
+      << "DEFERRABLE begin never parked";
+  EXPECT_TRUE(holder.Commit().ok());
+  deferrable.join();
+  EXPECT_TRUE(def_st.ok()) << def_st.ToString();
+}
+
 TEST(NetChaosTest, ChaosConvergence) {
   FailpointGuard guard;
   ServerOptions so;
@@ -182,6 +230,8 @@ TEST(NetChaosTest, ChaosConvergence) {
     baseline[i] = util::FailpointFireCount(kChaosSites[i]);
   }
   const uint64_t accepted_before = f.server->stats().accepted;
+
+  ForceParkSites(f.port(), f.server.get());
 
   // Arm everything probabilistically. Rates are chosen so the storm is
   // violent (hundreds of fires) but clients still make progress.

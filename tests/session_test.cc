@@ -1,9 +1,8 @@
-// Session step-API tests: would-block/park/retry on lock conflicts,
-// deadlock detection among parked sessions and blocked embedded
-// transactions, resumable DEFERRABLE begins, cross-thread stepping, and
-// the WAL commit gate.
-#include "db/session.h"
-
+// Transaction step-API tests (the path every wire session takes):
+// would-block/park/retry on lock conflicts, deadlock detection among
+// parked steps and blocked embedded transactions, resumable DEFERRABLE
+// begins woken by their token, cross-thread stepping, would-blocking
+// steps that never stall, and the WAL commit gate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +26,9 @@ namespace pgssi {
 namespace {
 
 const TxnOptions kSer{.isolation = IsolationLevel::kSerializable};
+const TxnOptions kDeferrable{.isolation = IsolationLevel::kSerializable,
+                             .read_only = true,
+                             .deferrable = true};
 
 DatabaseOptions S2plOptions() {
   DatabaseOptions opts;
@@ -45,21 +47,22 @@ TableId Seed(Database* db, const std::vector<std::string>& keys) {
   return t;
 }
 
-// Re-issues `fn` (a captured session step) until it stops would-blocking,
-// parking on the wait token (or the retry interval) in between.
-Status StepUntilComplete(Session& s, const std::function<Status()>& fn,
+// Re-issues `fn` (a captured step of `s`) until it stops would-blocking,
+// parking on the step's wait token (at most 2 ms) in between.
+Status StepUntilComplete(Transaction& s, const std::function<Status()>& fn,
                          int max_retries = 2000) {
   Status st = fn();
   while (st.IsWouldBlock() && max_retries-- > 0) {
-    if (auto tok = s.wait_token()) {
-      tok->WaitFor(s.retry_interval_us());
-    } else {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(s.retry_interval_us()));
-    }
+    s.wait_token()->WaitFor(2000);
     st = fn();
   }
   return st;
+}
+
+int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 TEST(SessionTest, WouldBlockThenTokenWake) {
@@ -69,8 +72,8 @@ TEST(SessionTest, WouldBlockThenTokenWake) {
   auto blocker = db->Begin(kSer);
   ASSERT_TRUE(blocker->Put(t, "k", "1").ok());
 
-  Session s(db.get());
-  ASSERT_TRUE(s.TryBegin(kSer).ok());
+  Transaction s(db.get(), kSer);
+  ASSERT_TRUE(s.TryBegin().ok());
   Status st = s.TryPut(t, "k", "2");
   ASSERT_TRUE(st.IsWouldBlock()) << st.ToString();
   auto token = s.wait_token();
@@ -100,10 +103,10 @@ TEST(SessionTest, AsyncDeadlockDetectedAmongParkedSessions) {
   auto db = Database::Open(S2plOptions());
   TableId t = Seed(db.get(), {"k1", "k2"});
 
-  Session sa(db.get());
-  Session sb(db.get());
-  ASSERT_TRUE(sa.TryBegin(kSer).ok());
-  ASSERT_TRUE(sb.TryBegin(kSer).ok());
+  Transaction sa(db.get(), kSer);
+  Transaction sb(db.get(), kSer);
+  ASSERT_TRUE(sa.TryBegin().ok());
+  ASSERT_TRUE(sb.TryBegin().ok());
   ASSERT_TRUE(sa.TryPut(t, "k1", "a").ok());
   ASSERT_TRUE(sb.TryPut(t, "k2", "b").ok());
 
@@ -125,7 +128,7 @@ TEST(SessionTest, AsyncDeadlockDetectedAmongParkedSessions) {
   ASSERT_FALSE(a_doomed && b_doomed) << "both victims";
 
   // The victim's failure aborted its txn; the survivor completes.
-  Session& winner = a_doomed ? sb : sa;
+  Transaction& winner = a_doomed ? sb : sa;
   const char* key = a_doomed ? "k1" : "k2";
   const char* val = a_doomed ? "b" : "a";
   Status st = StepUntilComplete(
@@ -136,11 +139,11 @@ TEST(SessionTest, AsyncDeadlockDetectedAmongParkedSessions) {
               }).ok());
 }
 
-// One wait path for both front doors: an embedded Transaction blocked in
-// a row-lock wait and a parked Session share one wait-for graph. The
-// embedded txn closes the cycle; the session (younger xid) is the victim,
-// so the embedded txn's registration must wake it, and its re-issued
-// step fails with a deadlock — long before the 5 s lock-wait timeout.
+// One wait-for graph for blocking calls and parked steps: an embedded
+// Transaction blocked in a row-lock wait and a parked step close a cycle.
+// The parked transaction (younger xid) is the victim, so the embedded
+// txn's registration must wake it, and its re-issued step fails with a
+// deadlock — long before the 5 s lock-wait timeout.
 TEST(SessionTest, BlockedEmbeddedTxnWakesParkedDeadlockVictim) {
   DatabaseOptions opts = S2plOptions();
   opts.engine.lock_wait_timeout_us = 5'000'000;
@@ -149,8 +152,8 @@ TEST(SessionTest, BlockedEmbeddedTxnWakesParkedDeadlockVictim) {
 
   auto embedded = db->Begin(kSer);
   ASSERT_TRUE(embedded->Put(t, "k2", "e").ok());
-  Session s(db.get());
-  ASSERT_TRUE(s.TryBegin(kSer).ok());
+  Transaction s(db.get(), kSer);
+  ASSERT_TRUE(s.TryBegin().ok());
   ASSERT_GT(s.xid(), embedded->xid());
   ASSERT_TRUE(s.TryPut(t, "k1", "s").ok());
   ASSERT_TRUE(s.TryPut(t, "k2", "s").IsWouldBlock());
@@ -162,9 +165,7 @@ TEST(SessionTest, BlockedEmbeddedTxnWakesParkedDeadlockVictim) {
   std::thread blocked([&] {
     const auto start = std::chrono::steady_clock::now();
     embedded_st = embedded->Put(t, "k1", "e");
-    embedded_wait_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
+    embedded_wait_us = MicrosSince(start);
   });
   EXPECT_TRUE(token->WaitFor(1'000'000)) << "deadlock victim never woken";
   Status st = s.TryPut(t, "k2", "s");
@@ -178,32 +179,50 @@ TEST(SessionTest, BlockedEmbeddedTxnWakesParkedDeadlockVictim) {
   EXPECT_EQ(db->RowLockCount(), 0u);
 }
 
+// The DEFERRABLE wait has a real token: the concurrent read-write
+// commit signals it. The 10 s re-check interval means a poll cannot get
+// either begin (the step and the blocking one) through within 1 s.
 TEST(SessionTest, DeferrableBeginParksAndResumes) {
-  auto db = Database::Open(DatabaseOptions{});
+  DatabaseOptions opts;
+  opts.engine.deadlock_check_interval_us = 10'000'000;
+  auto db = Database::Open(opts);
   TableId t = Seed(db.get(), {"k"});
 
   auto rw = db->Begin(kSer);
   ASSERT_TRUE(rw->Put(t, "k", "1").ok());
 
-  Session s(db.get());
-  const TxnOptions def{.isolation = IsolationLevel::kSerializable,
-                       .read_only = true,
-                       .deferrable = true};
-  Status st = s.TryBegin(def);
+  Transaction s(db.get(), kDeferrable);
+  Status st = s.TryBegin();
   ASSERT_TRUE(st.IsWouldBlock()) << st.ToString();
-  // DEFERRABLE waits have no event source: the caller deadline-polls.
-  EXPECT_EQ(s.wait_token(), nullptr);
-  EXPECT_TRUE(s.begin_pending());
-  EXPECT_FALSE(s.in_txn());
-  // Re-issuing while the concurrent RW txn lives keeps pending.
-  EXPECT_TRUE(s.TryBegin(def).IsWouldBlock());
-
-  ASSERT_TRUE(rw->Commit().ok());
-  st = StepUntilComplete(s, [&] { return s.TryBegin(def); });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(s.in_txn());
-
+  const util::WaitTokenPtr token = s.wait_token();
+  ASSERT_NE(token, nullptr);
+  EXPECT_FALSE(token->ready());
+  EXPECT_FALSE(s.started());
   std::string v;
+  st = s.TryGet(t, "k", &v);
+  EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.ToString().find("begin still pending"), std::string::npos);
+  // Re-issuing while the concurrent RW txn lives keeps pending.
+  EXPECT_TRUE(s.TryBegin().IsWouldBlock());
+
+  std::chrono::steady_clock::time_point blocking_begun;
+  std::thread blocking([&] {
+    auto def = db->Begin(kDeferrable);
+    blocking_begun = std::chrono::steady_clock::now();
+    EXPECT_TRUE(def->started());
+    EXPECT_TRUE(def->Commit().ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto committed_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(rw->Commit().ok());
+  EXPECT_TRUE(token->WaitFor(1'000'000)) << "DEFERRABLE token never fired";
+  st = s.TryBegin();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_LT(MicrosSince(committed_at), 1'000'000);
+  EXPECT_TRUE(s.started());
+  blocking.join();
+  EXPECT_LT(blocking_begun - committed_at, std::chrono::seconds(1));
+
   ASSERT_TRUE(s.TryGet(t, "k", &v).ok());
   // The RW commit had no dangerous out-edge, so the ORIGINAL snapshot
   // (taken before that commit) is safe and retained: the read-only txn
@@ -220,16 +239,36 @@ TEST(SessionTest, AbortMidDeferrableBeginCleansUp) {
   ASSERT_TRUE(rw->Put(t, "k", "1").ok());
 
   {
-    Session s(db.get());
-    ASSERT_TRUE(s.TryBegin({.isolation = IsolationLevel::kSerializable,
-                            .read_only = true,
-                            .deferrable = true})
-                    .IsWouldBlock());
+    Transaction s(db.get(), kDeferrable);
+    ASSERT_TRUE(s.TryBegin().IsWouldBlock());
     // Destruction aborts the pending begin (deregisters its xid).
   }
   ASSERT_TRUE(rw->Commit().ok());
   // The dropped pending begin must not pin OldestActiveSnapshot.
   EXPECT_EQ(db->OldestActiveSnapshot(), UINT64_MAX);
+}
+
+// A step that would block returns at once: the simulated I/O stall sits
+// after every would-block point, so parking (and every re-issue) never
+// sleeps first.
+TEST(SessionTest, WouldBlockingStepDoesNotStall) {
+  DatabaseOptions opts;
+  opts.engine.simulated_io_delay_us = 200'000;
+  auto db = Database::Open(opts);
+  TableId t = Seed(db.get(), {"k"});
+
+  auto holder = db->Begin(kSer);
+  ASSERT_TRUE(holder->Put(t, "k", "1").ok());
+  Transaction s(db.get(), kSer);
+  ASSERT_TRUE(s.TryBegin().ok());
+  const auto start = std::chrono::steady_clock::now();
+  Status st = s.TryPut(t, "k", "2");
+  const int64_t elapsed_us = MicrosSince(start);
+  ASSERT_TRUE(st.IsWouldBlock()) << st.ToString();
+  EXPECT_LT(elapsed_us, 50'000);
+  ASSERT_TRUE(holder->Abort().ok());
+  ASSERT_TRUE(s.Abort().ok());
+  EXPECT_EQ(db->RowLockCount(), 0u);
 }
 
 TEST(SessionTest, CrossThreadStepping) {
@@ -239,12 +278,12 @@ TEST(SessionTest, CrossThreadStepping) {
   auto blocker = db->Begin(kSer);
   ASSERT_TRUE(blocker->Put(t, "k", "1").ok());
 
-  Session s(db.get());
-  ASSERT_TRUE(s.TryBegin(kSer).ok());
+  Transaction s(db.get(), kSer);
+  ASSERT_TRUE(s.TryBegin().ok());
   ASSERT_TRUE(s.TryPut(t, "k", "2").IsWouldBlock());
 
-  // Resume the parked session from a different thread: sessions are
-  // detachable, not pinned to their creating thread.
+  // Resume the parked transaction from a different thread: steps are
+  // not pinned to the thread that began the transaction.
   std::atomic<bool> done{false};
   std::thread stepper([&] {
     Status st = StepUntilComplete(s, [&] { return s.TryPut(t, "k", "2"); });
@@ -271,8 +310,9 @@ TEST(SessionTest, CommitGateUnderWalBatch) {
     TableId t = kInvalidTable;
     ASSERT_TRUE(db->CreateTable("t", &t).ok());
 
-    // Hammer concurrent session commits so some hit the group-fsync
-    // commit gate (would-block once, then complete on retry).
+    // Hammer concurrent step commits so some hit the group-fsync commit
+    // gate (park while a round is in flight, possibly more than once,
+    // then complete on a re-issue after the gate opens).
     constexpr int kThreads = 4;
     constexpr int kTxns = 40 / PGSSI_STRESS_SCALE;
     std::vector<std::thread> threads;
@@ -280,7 +320,7 @@ TEST(SessionTest, CommitGateUnderWalBatch) {
     for (int i = 0; i < kThreads; i++) {
       threads.emplace_back([&, i] {
         for (int j = 0; j < kTxns; j++) {
-          Session s(db.get());
+          Transaction s(db.get(), {});
           ASSERT_TRUE(s.TryBegin().ok());
           const std::string key =
               "k" + std::to_string(i) + "-" + std::to_string(j);

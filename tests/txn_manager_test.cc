@@ -2,7 +2,8 @@
 // publication through the completion ring, and the invariant the
 // safe-snapshot / DEFERRABLE machinery relies on — a transaction absent
 // from the active registry is already published, i.e. Commit blocks
-// until its own seq is covered by the watermark.
+// until its own seq is covered by the watermark — and the DEFERRABLE
+// wait token that registry deregistrations signal.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -108,7 +109,7 @@ TEST(TxnManagerTest, FailedStampPublishesSeqAndReturnsZero) {
   EXPECT_EQ(m.LastCommittedSeq(), 2u);
 }
 
-TEST(TxnManagerTest, OldestActiveSnapshotAndWaitForFinish) {
+TEST(TxnManagerTest, OldestActiveSnapshotAndAwaitFinish) {
   TxnManager m;
   auto a = m.Begin(true);
   m.Commit(a.xid, nullptr);  // seq 1
@@ -119,14 +120,68 @@ TEST(TxnManagerTest, OldestActiveSnapshotAndWaitForFinish) {
   ASSERT_EQ(rw.size(), 1u);
   EXPECT_EQ(rw[0], b.xid);
 
+  util::WaitTokenPtr token;
+  ASSERT_TRUE(m.AwaitFinish({b.xid}, &token));
+  ASSERT_NE(token, nullptr);
   std::thread t([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     m.Commit(b.xid, nullptr);
   });
-  m.WaitForFinish({b.xid});  // returns only once b is gone
+  EXPECT_TRUE(token->WaitFor(5'000'000));  // signaled once b is gone
   t.join();
+  EXPECT_FALSE(m.AwaitFinish({b.xid}, &token));
   m.Abort(c.xid);
   EXPECT_EQ(m.OldestActiveSnapshot(), std::numeric_limits<uint64_t>::max());
+}
+
+// The lost wake: a waiter that registers after the last read-write xact
+// it waits for has already deregistered must not park, and a waiter
+// racing the deregistration must either see it or get signaled. A lost
+// wake shows up as a token that never fires.
+TEST(TxnManagerTest, AwaitFinishNeverLosesAWake) {
+  TxnManager m;
+  auto gone = m.Begin(/*serializable_rw=*/true);
+  const std::vector<XactId> waited = m.ActiveSerializableRW();
+  m.Abort(gone.xid);
+  util::WaitTokenPtr token;
+  EXPECT_FALSE(m.AwaitFinish(waited, &token));
+
+  // Race one waiter against the deregistration of the single xact it
+  // waits for, round after round. Nothing else deregisters meanwhile,
+  // so a lost wake is not healed by a later signal: its token stalls.
+  std::atomic<XactId> to_finish{0};
+  std::atomic<bool> stop{false};
+  std::thread finisher([&] {
+    uint32_t round = 0;
+    while (!stop.load()) {
+      const XactId x = to_finish.exchange(0);
+      if (x == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      for (uint32_t k = 0; k < round % 8; k++) std::this_thread::yield();
+      if (++round % 2 == 0) {
+        m.Abort(x);
+      } else {
+        m.Commit(x, nullptr);
+      }
+    }
+  });
+  int parks = 0;
+  int lost = 0;
+  for (int i = 0; i < 2000 && lost == 0; i++) {
+    const XactId x = m.Begin(/*serializable_rw=*/true).xid;
+    to_finish.store(x);
+    if (m.AwaitFinish({x}, &token)) {
+      parks++;
+      if (!token->WaitFor(1'000'000)) lost++;
+    }
+    while (m.AnyActive({x})) std::this_thread::yield();
+  }
+  stop.store(true);
+  finisher.join();
+  EXPECT_GT(parks, 0);
+  EXPECT_EQ(lost, 0) << "of " << parks << " parks";
 }
 
 // Regression for the O(1) cached-minimum OldestActiveSnapshot: the

@@ -161,8 +161,21 @@ void TxnManager::Deregister(XactId xid) {
       RecomputeMinLocked(sh);  // we may have been the minimum holder
     }
   }
-  if (was_rw) active_serializable_rw_.fetch_sub(1);
-  sh.finished_cv.notify_all();
+  if (!was_rw) return;
+  active_serializable_rw_.fetch_sub(1);
+  // seq_cst, after the erase under sh.mu: an AwaitFinish whose AnyActive
+  // still saw this xid registered its token before taking sh.mu, so the
+  // load sees that registration (or a wake that already signaled it).
+  if (rw_waiter_count_.load() == 0) return;
+  std::vector<util::WaitTokenPtr> wake;
+  {
+    std::lock_guard<std::mutex> l(rw_waiters_mu_);
+    wake.swap(rw_waiters_);
+    rw_waiter_count_.store(0);
+  }
+  // Outside every mutex: a token callback may take the server's run-queue
+  // mutex.
+  for (auto& t : wake) t->Signal();
 }
 
 void TxnManager::Abort(XactId xid) { Deregister(xid); }
@@ -202,14 +215,6 @@ std::vector<XactId> TxnManager::ActiveSerializableRW() const {
   return out;
 }
 
-void TxnManager::WaitForFinish(const std::vector<XactId>& xids) {
-  for (XactId x : xids) {
-    Shard& sh = ShardFor(x);
-    std::unique_lock<std::mutex> l(sh.mu);
-    sh.finished_cv.wait(l, [&] { return sh.active.count(x) == 0; });
-  }
-}
-
 bool TxnManager::AnyActive(const std::vector<XactId>& xids) const {
   for (XactId x : xids) {
     Shard& sh = ShardFor(x);
@@ -217,6 +222,18 @@ bool TxnManager::AnyActive(const std::vector<XactId>& xids) const {
     if (sh.active.count(x)) return true;
   }
   return false;
+}
+
+bool TxnManager::AwaitFinish(const std::vector<XactId>& xids,
+                             util::WaitTokenPtr* token) {
+  if (!AnyActive(xids)) return false;
+  if (!*token || (*token)->ready()) {
+    *token = std::make_shared<util::WaitToken>();
+    std::lock_guard<std::mutex> l(rw_waiters_mu_);
+    rw_waiters_.push_back(*token);
+    rw_waiter_count_.store(rw_waiters_.size());
+  }
+  return AnyActive(xids);
 }
 
 }  // namespace pgssi::txn

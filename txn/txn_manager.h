@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "util/types.h"
+#include "util/wait_token.h"
 
 namespace pgssi::txn {
 
@@ -93,11 +94,15 @@ class TxnManager {
   bool AnyActiveSerializableRW() const {
     return active_serializable_rw_.load() > 0;
   }
-  /// Blocks until none of `xids` is active.
-  void WaitForFinish(const std::vector<XactId>& xids);
-  /// Non-blocking probe used by the DEFERRABLE session state machine:
-  /// true while any of `xids` is still registered.
+  /// True while any of `xids` is still registered.
   bool AnyActive(const std::vector<XactId>& xids) const;
+  /// The DEFERRABLE wait: AnyActive(xids), and when it is true, `*token`
+  /// (replaced by a fresh one unless it is an unsignaled token from an
+  /// earlier call, which is still registered) is signaled at the next
+  /// deregistration of a serializable read-write transaction. The token
+  /// is registered BEFORE the final AnyActive check, so a deregistration
+  /// racing the call either shows in that check or signals the token.
+  bool AwaitFinish(const std::vector<XactId>& xids, util::WaitTokenPtr* token);
 
   uint64_t next_xid() const {
     return next_xid_.load(std::memory_order_relaxed);
@@ -124,7 +129,6 @@ class TxnManager {
 
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::condition_variable finished_cv;
     std::unordered_map<XactId, ActiveTxn> active;
     // Cached min over active[*].snapshot_seq (UINT64_MAX when empty).
     // Written only under mu (lowered on Begin, recomputed when the
@@ -160,6 +164,12 @@ class TxnManager {
   std::mutex publish_mu_;
   std::condition_variable publish_cv_;
   std::atomic<int64_t> publish_waiters_{0};
+  // AwaitFinish tokens, signaled and cleared by the next serializable
+  // read-write Deregister. rw_waiter_count_ mirrors the vector's size,
+  // so that Deregister's no-waiter fast path is one atomic load.
+  std::mutex rw_waiters_mu_;
+  std::vector<util::WaitTokenPtr> rw_waiters_;
+  std::atomic<size_t> rw_waiter_count_{0};
 };
 
 }  // namespace pgssi::txn

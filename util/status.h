@@ -24,11 +24,11 @@ enum class Code {
   // backoff; the wire response carries a retry-after hint (milliseconds)
   // in its payload. Mirrors PostgreSQL's 53300 too_many_connections.
   kOverloaded,
-  // Non-blocking session API only (db/session.h): the operation cannot
-  // complete without waiting (row-lock conflict, WAL fsync in flight,
-  // DEFERRABLE safe-snapshot wait). Nothing failed — re-issue the same
-  // call when the accompanying WaitToken signals. Never sent on the
-  // wire; the net server parks the session instead.
+  // Transaction step API only (Try*, db/transaction_handle.h): the
+  // operation cannot complete without waiting (row-lock conflict, WAL
+  // fsync in flight, DEFERRABLE safe-snapshot wait). Nothing failed —
+  // re-issue the same call when Transaction::wait_token() signals. Never
+  // sent on the wire; the net server parks the session instead.
   kWouldBlock,
 };
 

@@ -1,21 +1,21 @@
-// One-shot wake-up token for suspended sessions.
+// One-shot wake-up token for suspended transaction steps.
 //
-// A non-blocking engine call that cannot proceed (a row-lock conflict, a
-// WAL group-fsync in flight) returns Code::kWouldBlock and hands the
-// caller a WaitToken. The engine signals the token when the obstacle
-// *may* have cleared — the caller then re-issues the same call, which
-// either succeeds or parks again on a fresh token. Signals are therefore
+// A step that cannot proceed (a row-lock conflict, a WAL group-fsync in
+// flight, a DEFERRABLE begin waiting out read-write transactions)
+// returns Code::kWouldBlock and hands the caller a WaitToken. The engine
+// signals the token when the obstacle *may* have cleared — the caller
+// then re-issues the same call, which either succeeds or parks again. Signals are therefore
 // permission to retry, not a grant: spurious signals are harmless and
 // expected.
 //
 // Thread-safety: Signal / OnSignal / WaitFor may race freely. Signal is
-// idempotent; the callback runs exactly once, on whichever thread loses
+// idempotent; the installed callback runs once, on whichever thread loses
 // the set-vs-signal race (possibly inline in OnSignal when the token was
 // already signaled). The callback must not block: the net server's
 // callback only flips an atomic and pushes the session onto a run queue.
 //
 // Tokens are shared_ptr-held by both the waiter and the engine-side
-// registry (lock table, WAL writer), so a waiter that gives up (abort,
+// registry (lock table, WAL writer, TxnManager), so a waiter that gives up (abort,
 // teardown) can simply drop its reference; a late Signal then fires into
 // a token nobody observes.
 #pragma once
@@ -50,9 +50,10 @@ class WaitToken {
     return ready_;
   }
 
-  /// Installs the wake callback. If the token was already signaled the
-  /// callback runs immediately (on this thread) — the registrar cannot
-  /// lose the race against an early Signal.
+  /// Installs the wake callback, replacing one not yet run (a DEFERRABLE
+  /// begin re-parks on its unsignaled token). If the token was already
+  /// signaled the callback runs immediately (on this thread) — the
+  /// registrar cannot lose the race against an early Signal.
   void OnSignal(std::function<void()> cb) {
     {
       std::lock_guard<std::mutex> l(mu_);

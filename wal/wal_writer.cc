@@ -271,10 +271,11 @@ void WalWriter::SyncerLoop() {
   cv_.notify_all();  // stray waiters observe "wal closed"
 }
 
-bool WalWriter::RegisterSyncWaiter(const util::WaitTokenPtr& token) {
+bool WalWriter::RegisterSyncWaiter(util::WaitTokenPtr* token) {
   std::lock_guard<std::mutex> l(mu_);
   if (!sync_in_progress_) return false;
-  sync_waiters_.push_back(token);
+  *token = std::make_shared<util::WaitToken>();
+  sync_waiters_.push_back(*token);
   return true;
 }
 

@@ -16,9 +16,9 @@
 // offset, fsyncs once, and publishes the new durable offset to every
 // waiter at or below it. No committer thread ever runs the fsync
 // syscall or the dwell — on the session server that used to pin a net
-// worker for the whole batch window; now workers either cv-wait for
-// their own offset (blocking API) or park a WaitToken on the gate
-// (non-blocking API) and the syncer does the rest.
+// worker for the whole batch window; now committers cv-wait for their
+// own offset, a TryCommit step first parks a WaitToken on the gate
+// while a round is in flight, and the syncer does the rest.
 //
 // Fsync-failure delivery: a failed round reports the error to every
 // waiter whose offset the attempted fsync covered (their data is not
@@ -105,14 +105,14 @@ class WalWriter {
   /// Final best-effort fsync + close. Idempotent.
   void Close();
 
-  /// Non-blocking commit-gate probe for the session layer: if the
-  /// syncer is running a group fsync right now, queues `token`
-  /// (signaled when that round completes, success or failure) and
-  /// returns true — the caller should park and retry its commit, by
-  /// which time the batch it joins is fresh. Returns false when no
-  /// round is running (nothing to wait for). Purely an admission hint:
-  /// correctness never depends on it.
-  bool RegisterSyncWaiter(const util::WaitTokenPtr& token);
+  /// Non-blocking commit-gate probe for Transaction::TryCommit: if the
+  /// syncer is running a group fsync right now, stores a fresh token in
+  /// *token, queues it (signaled when that round completes, success or
+  /// failure) and returns true — the caller should park and retry its
+  /// commit, by which time the batch it joins is fresh. Returns false,
+  /// allocating nothing, when no round is running (nothing to wait
+  /// for). Purely an admission hint: correctness never depends on it.
+  bool RegisterSyncWaiter(util::WaitTokenPtr* token);
 
   uint64_t appended_offset() const {
     return appended_.load(std::memory_order_acquire);
@@ -153,7 +153,7 @@ class WalWriter {
   uint64_t err_upto_ = 0;
   Status err_status_;
 
-  // Session-layer tokens parked on the in-progress round (mu_); swapped
+  // Commit-gate tokens parked on the in-progress round (mu_); swapped
   // out and signaled outside mu_ when it completes.
   std::vector<util::WaitTokenPtr> sync_waiters_;
   std::atomic<bool> failed_{false};    // latched: durability broken
