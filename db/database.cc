@@ -413,20 +413,22 @@ Status Transaction::TryBegin() {
 Status Transaction::AcquireRowLock(TableId table, const std::string& key,
                                    LockTable::Mode mode) {
   // The wait deadline spans re-issues: it anchors at the first
-  // would-block of this lock and is cleared when the acquisition
-  // succeeds (the op then either finishes or would-blocks on a LATER
-  // lock, restarting the clock — each lock in a multi-lock op gets its
-  // own full timeout).
-  const uint64_t now = NowMicros();
+  // would-block on this lock and holds until the statement ends (see
+  // CheckActive). Re-entrant grants of locks the statement already holds
+  // leave it alone; a would-block on a LATER lock re-anchors, so each
+  // lock in a multi-lock op gets its own full timeout.
+  const bool same_wait = wait_started_us_ != 0 && wait_mode_ == mode &&
+                         wait_table_ == table && wait_key_ == key;
   const bool timed_out =
-      wait_started_us_ != 0 &&
-      now > wait_started_us_ + db_->opts_.engine.lock_wait_timeout_us;
+      same_wait &&
+      NowMicros() > wait_started_us_ + db_->opts_.engine.lock_wait_timeout_us;
   Status st = db_->row_locks_.AcquireAsync(xid_, table, key, mode, timed_out,
                                            &wait_token_);
-  if (!st.IsWouldBlock()) {
-    wait_started_us_ = 0;
-  } else if (wait_started_us_ == 0) {
-    wait_started_us_ = now;
+  if (st.IsWouldBlock() && !same_wait) {
+    wait_started_us_ = NowMicros();
+    wait_table_ = table;
+    wait_key_ = key;
+    wait_mode_ = mode;
   }
   return st;
 }
@@ -440,6 +442,11 @@ Status Transaction::CheckActive() {
   if (!started_) {
     return Status::InvalidArgument("begin still pending (re-call TryBegin)");
   }
+  // Every kWouldBlock leaves a token, so a null token here means the
+  // previous step finished: this step starts a new statement, not a
+  // re-issue, and no wait deadline carries over into it.
+  if (wait_token_ == nullptr) wait_started_us_ = 0;
+  wait_token_.reset();
   if (sxact_ && db_->siread_.Doomed(sxact_)) {
     AbortInternal();
     return Status::SerializationFailure(
@@ -527,7 +534,6 @@ Status Transaction::TryCommit() {
     const uint64_t now = NowMicros();
     if (wait_started_us_ != 0 &&
         now > wait_started_us_ + db_->opts_.engine.lock_wait_timeout_us) {
-      wait_started_us_ = 0;
       AbortInternal();
       return Status::SerializationFailure(
           "wal commit gate timeout: fsync stalled; retry the transaction");
@@ -536,7 +542,6 @@ Status Transaction::TryCommit() {
       if (wait_started_us_ == 0) wait_started_us_ = now;
       return Status(Code::kWouldBlock, "wal group fsync in flight");
     }
-    wait_started_us_ = 0;
   }
   return CommitBody();
 }

@@ -389,7 +389,8 @@ class Transaction {
 
   // Every step's entry check: "no open transaction" once finished,
   // "begin still pending" before TryBegin completes, and the doomed
-  // check (which aborts).
+  // check (which aborts). Also clears the wait deadline unless this
+  // step re-issues a would-blocked one.
   Status CheckActive();
   void AbortInternal();
   // Commit after the gate: PreCommit, WAL append, stamp, release.
@@ -399,7 +400,8 @@ class Transaction {
   /// and kWouldBlock returns — BEFORE any mutation, epoch pin, or latch
   /// is taken, so the caller re-issues the same operation after the
   /// token fires (acquisition is re-entrant; granted locks are kept).
-  /// The lock-wait deadline spans re-issues via wait_started_us_.
+  /// The lock-wait deadline spans re-issues via wait_started_us_;
+  /// re-entrant grants of already-held locks do not reset it.
   Status AcquireRowLock(TableId table, const std::string& key,
                         LockTable::Mode mode);
   // Serializes this transaction's write set into a kCommit payload (seq
@@ -440,12 +442,16 @@ class Transaction {
   bool started_ = false;
   // Token for the most recent kWouldBlock.
   util::WaitTokenPtr wait_token_;
-  // First would-block instant of the currently-retried operation; the
-  // lock-wait timeout is enforced against it across suspensions — for
-  // row-lock waits and for WAL commit-gate parks alike (a stalled fsync
-  // otherwise parks a committer forever). Reset on every successful
-  // lock acquisition and when the gate opens.
+  // First would-block instant of the current wait; the lock-wait
+  // timeout is enforced against it across re-issues — for row-lock waits
+  // and for WAL commit-gate parks alike (a stalled fsync otherwise parks
+  // a committer forever). Cleared when a statement starts (CheckActive);
+  // re-anchored when a statement would-blocks on a different row lock,
+  // identified by wait_table_/wait_key_/wait_mode_.
   uint64_t wait_started_us_ = 0;
+  TableId wait_table_ = kInvalidTable;
+  std::string wait_key_;
+  LockTable::Mode wait_mode_ = LockTable::Mode::kShared;
   // DEFERRABLE resumable state: a begun-but-unproven snapshot waiting
   // out def_concurrent_.
   bool def_pending_ = false;

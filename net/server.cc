@@ -26,6 +26,13 @@ constexpr size_t kReadChunk = 64 * 1024;
 bool InTxn(const Transaction* t) {
   return t != nullptr && t->started() && !t->finished();
 }
+
+// A statement before the connection's first Begin (or after an Abort).
+// A finished handle answers for itself, with the same status, in
+// Transaction::CheckActive.
+Status NoOpenTransaction() {
+  return Status::InvalidArgument("no open transaction");
+}
 }  // namespace
 
 struct Server::Conn {
@@ -40,7 +47,10 @@ struct Server::Conn {
   // Parked on a would-block; exactly one of {token callback, deadline
   // tick} wins the exchange(false) and requeues.
   std::atomic<bool> parked{false};
-  uint64_t park_deadline_us = 0;  // written before the parked_ push
+  // Written before the parked_ push. Atomic because the deadline tick
+  // can still see this conn listed (and parked) from its previous park
+  // while a worker re-parks it; a stale read only shifts one re-poll.
+  std::atomic<uint64_t> park_deadline_us{0};
   // Socket gone (EOF/error/protocol violation): the next worker pass
   // aborts the transaction and drops the remaining ops.
   std::atomic<bool> closing{false};
@@ -510,7 +520,7 @@ void Server::TickParked() {
     for (size_t i = 0; i < parked_.size(); i++) {
       ConnPtr c = parked_[i].lock();
       if (!c || !c->parked.load(std::memory_order_acquire)) continue;
-      if (now >= c->park_deadline_us) {
+      if (now >= c->park_deadline_us.load(std::memory_order_relaxed)) {
         due.push_back(std::move(c));
         continue;
       }
@@ -685,91 +695,88 @@ bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
   Transaction* t = c->txn.get();
   Status st;
   std::string payload;
-  if (t == nullptr && req.op > Op::kBegin && req.op < Op::kAbort) {
-    // A statement before the first Begin. Later handles answer for
-    // themselves (Transaction::CheckActive), with the same status.
-    st = Status::InvalidArgument("no open transaction");
-  } else {
-    switch (req.op) {
-      case Op::kPing:
-        break;
-      case Op::kCreateTable: {
-        TableId id = kInvalidTable;
-        st = db_->CreateTable(req.name, &id);
-        // Open-or-create: AlreadyExists still reports the id.
-        if (st.ok() || st.code() == Code::kAlreadyExists) {
-          payload.clear();
-          PutU32(&payload, id);
-          st = Status::OK();
-        }
-        break;
+  switch (req.op) {
+    case Op::kPing:
+      break;
+    case Op::kCreateTable: {
+      TableId id = kInvalidTable;
+      st = db_->CreateTable(req.name, &id);
+      // Open-or-create: AlreadyExists still reports the id.
+      if (st.ok() || st.code() == Code::kAlreadyExists) {
+        payload.clear();
+        PutU32(&payload, id);
+        st = Status::OK();
       }
-      case Op::kOpenTable: {
-        const TableId id = db_->GetTableId(req.name);
-        if (id == kInvalidTable) {
-          st = Status::NotFound("table " + req.name);
-        } else {
-          PutU32(&payload, id);
-        }
-        break;
-      }
-      case Op::kBegin:
-        if (InTxn(t)) {
-          st = Status::InvalidArgument("transaction already open");
-          break;
-        }
-        // A re-issued parked Begin resumes its pending handle (keeping
-        // the original options); otherwise a fresh handle replaces any
-        // finished one.
-        if (t == nullptr || t->finished()) {
-          c->txn = std::make_unique<Transaction>(db_, TxnOptionsFromBegin(req));
-          t = c->txn.get();
-        }
-        st = t->TryBegin();
-        break;
-      case Op::kGet: {
-        std::string v;
-        st = t->TryGet(req.table, req.key, &v);
-        if (st.ok()) payload = std::move(v);
-        break;
-      }
-      case Op::kPut:
-        st = t->TryPut(req.table, req.key, req.value);
-        break;
-      case Op::kInsert:
-        st = t->TryInsert(req.table, req.key, req.value);
-        break;
-      case Op::kDelete:
-        st = t->TryDelete(req.table, req.key);
-        break;
-      case Op::kScan: {
-        std::vector<std::pair<std::string, std::string>> rows;
-        st = t->TryScan(req.table, req.key, req.value, &rows);
-        if (st.ok()) {
-          PutU32(&payload, static_cast<uint32_t>(rows.size()));
-          for (const auto& [k, v] : rows) {
-            PutStr16(&payload, k);
-            PutStr32(&payload, v);
-          }
-        }
-        break;
-      }
-      case Op::kCount: {
-        uint64_t cnt = 0;
-        st = t->TryCount(req.table, req.key, req.value, &cnt);
-        if (st.ok()) PutU64(&payload, cnt);
-        break;
-      }
-      case Op::kCommit:
-        c->phase.store(static_cast<int>(Conn::Phase::kCommitting),
-                       std::memory_order_relaxed);
-        st = t->TryCommit();
-        break;
-      case Op::kAbort:
-        c->txn.reset();  // never blocks; aborts an open or pending txn
-        t = nullptr;
-        break;
+      break;
     }
+    case Op::kOpenTable: {
+      const TableId id = db_->GetTableId(req.name);
+      if (id == kInvalidTable) {
+        st = Status::NotFound("table " + req.name);
+      } else {
+        PutU32(&payload, id);
+      }
+      break;
+    }
+    case Op::kBegin:
+      if (InTxn(t)) {
+        st = Status::InvalidArgument("transaction already open");
+        break;
+      }
+      // A re-issued parked Begin resumes its pending handle (keeping
+      // the original options); otherwise a fresh handle replaces any
+      // finished one.
+      if (t == nullptr || t->finished()) {
+        c->txn = std::make_unique<Transaction>(db_, TxnOptionsFromBegin(req));
+        t = c->txn.get();
+      }
+      st = t->TryBegin();
+      break;
+    case Op::kGet: {
+      std::string v;
+      st = t ? t->TryGet(req.table, req.key, &v) : NoOpenTransaction();
+      if (st.ok()) payload = std::move(v);
+      break;
+    }
+    case Op::kPut:
+      st = t ? t->TryPut(req.table, req.key, req.value) : NoOpenTransaction();
+      break;
+    case Op::kInsert:
+      st = t ? t->TryInsert(req.table, req.key, req.value)
+             : NoOpenTransaction();
+      break;
+    case Op::kDelete:
+      st = t ? t->TryDelete(req.table, req.key) : NoOpenTransaction();
+      break;
+    case Op::kScan: {
+      std::vector<std::pair<std::string, std::string>> rows;
+      st = t ? t->TryScan(req.table, req.key, req.value, &rows)
+             : NoOpenTransaction();
+      if (st.ok()) {
+        PutU32(&payload, static_cast<uint32_t>(rows.size()));
+        for (const auto& [k, v] : rows) {
+          PutStr16(&payload, k);
+          PutStr32(&payload, v);
+        }
+      }
+      break;
+    }
+    case Op::kCount: {
+      uint64_t cnt = 0;
+      st = t ? t->TryCount(req.table, req.key, req.value, &cnt)
+             : NoOpenTransaction();
+      if (st.ok()) PutU64(&payload, cnt);
+      break;
+    }
+    case Op::kCommit:
+      c->phase.store(static_cast<int>(Conn::Phase::kCommitting),
+                     std::memory_order_relaxed);
+      st = t ? t->TryCommit() : NoOpenTransaction();
+      break;
+    case Op::kAbort:
+      c->txn.reset();  // never blocks; aborts an open or pending txn
+      t = nullptr;
+      break;
   }
 
   if (st.IsWouldBlock()) {
@@ -788,7 +795,8 @@ bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
     // Park. Order matters: mark parked, register the deadline tick,
     // THEN hook the token — a token that already fired runs the
     // callback inline and wins the exchange immediately.
-    c->park_deadline_us = NowMicros() + park_interval_us_;
+    c->park_deadline_us.store(NowMicros() + park_interval_us_,
+                              std::memory_order_relaxed);
     c->parked.store(true, std::memory_order_release);
     {
       std::lock_guard<std::mutex> l(parked_mu_);

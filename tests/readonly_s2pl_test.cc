@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "db/transaction_handle.h"
@@ -368,6 +369,60 @@ TEST_F(S2plTest, ScanBlocksInsertPhantom) {
   ASSERT_TRUE(scanner->Commit().ok());
   thr.join();
   EXPECT_TRUE(ins_status.ok()) << ins_status.ToString();
+}
+
+// Runs `op` on a thread while `holder` keeps a conflicting lock and
+// stays idle. The blocked op must fail with "lock wait timeout" well
+// within a few lock_wait_timeout_us (500 ms here). If it is still
+// blocked after 3 s the holder is aborted so the thread can finish.
+void ExpectLockWaitTimeout(Transaction* holder,
+                           const std::function<Status()>& op) {
+  std::atomic<bool> done{false};
+  Status st;
+  const auto start = std::chrono::steady_clock::now();
+  std::thread thr([&] {
+    st = op();
+    done = true;
+  });
+  while (!done &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(3)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  const bool timed_out_in_time = done.load();
+  ASSERT_TRUE(holder->Abort().ok());
+  thr.join();
+  EXPECT_TRUE(timed_out_in_time)
+      << "blocked op still waiting after 3 s behind an idle holder";
+  EXPECT_NE(st.ToString().find("lock wait timeout"), std::string::npos)
+      << st.ToString();
+  EXPECT_LT(waited, std::chrono::seconds(2));
+}
+
+TEST_F(S2plTest, BlockedInsertTimesOutBehindIdleScanner) {
+  // The insert is granted its key's exclusive lock, then waits on the
+  // table-gap lock. Each re-issue re-grants the key lock; that must not
+  // restart the wait deadline.
+  auto scanner = BeginSer();
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(scanner->Scan(t_, "a", "z", &rows).ok());
+  auto ins = BeginSer();
+  ExpectLockWaitTimeout(scanner.get(),
+                        [&] { return ins->Insert(t_, "c", "new"); });
+  EXPECT_TRUE(ins->finished());
+}
+
+TEST_F(S2plTest, BlockedScanTimesOutBehindIdleWriter) {
+  // The scan is granted the table-gap lock and key "a", then waits on
+  // key "b". Each re-issue re-grants the earlier locks; that must not
+  // restart the wait deadline.
+  auto writer = BeginSer();
+  ASSERT_TRUE(writer->Put(t_, "b", "w").ok());
+  auto scanner = BeginSer();
+  std::vector<std::pair<std::string, std::string>> rows;
+  ExpectLockWaitTimeout(writer.get(),
+                        [&] { return scanner->Scan(t_, "a", "z", &rows); });
+  EXPECT_TRUE(scanner->finished());
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // flight, a DEFERRABLE begin waiting out read-write transactions)
 // returns Code::kWouldBlock and hands the caller a WaitToken. The engine
 // signals the token when the obstacle *may* have cleared — the caller
-// then re-issues the same call, which either succeeds or parks again. Signals are therefore
-// permission to retry, not a grant: spurious signals are harmless and
-// expected.
+// then re-issues the same call, which either succeeds or parks again.
+// Signals are therefore permission to retry, not a grant: spurious
+// signals are harmless and expected.
 //
 // Thread-safety: Signal / OnSignal / WaitFor may race freely. Signal is
 // idempotent; the installed callback runs once, on whichever thread loses
@@ -15,9 +15,9 @@
 // callback only flips an atomic and pushes the session onto a run queue.
 //
 // Tokens are shared_ptr-held by both the waiter and the engine-side
-// registry (lock table, WAL writer, TxnManager), so a waiter that gives up (abort,
-// teardown) can simply drop its reference; a late Signal then fires into
-// a token nobody observes.
+// registry (lock table, WAL writer, TxnManager), so a waiter that gives
+// up (abort, teardown) can simply drop its reference; a late Signal then
+// fires into a token nobody observes.
 #pragma once
 
 #include <chrono>
