@@ -4,11 +4,7 @@
 // write with probability --write-frac, default 10%) on 1/2/4/8/16
 // threads under:
 //   SI               REPEATABLE READ (no SSI tracking — the ceiling)
-//   SSI/partitioned  SERIALIZABLE via SSI, partitioned SIREAD tables
-//                    (EngineConfig::lock_partitions, default 16)
-//   SSI/global-mutex SERIALIZABLE via SSI with lock_partitions=1 — the
-//                    pre-partitioning single-mutex design, kept as an
-//                    honest same-binary A/B baseline
+//   SSI              SERIALIZABLE via SSI
 //   S2PL             SERIALIZABLE via strict two-phase locking
 //
 // Second section: high-conflict write skew — every transaction reads
@@ -19,14 +15,10 @@
 // Third section: abort-heavy teardown churn — xact teardown through the
 // epoch limbo is the measured path.
 //
-// Prints a table, reports the 8-thread partitioned-vs-global speedup,
-// and emits machine-readable BENCH_lockmgr.json (see bench_json.h).
+// Prints a table and emits machine-readable BENCH_lockmgr.json (see
+// bench_json.h).
 //
-// Flags: --rows=N --write-frac=F --threads=1,2,4,8,16 --partitions=N
-// --heap-stripes=N (--partitions pins the partitioned series' count; the
-// 1-partition baseline always runs for comparison unless --partitions=1;
-// --heap-stripes sets every series' heap-latch stripe count, 1 = the old
-// one-latch-per-table design).
+// Flags: --rows=N --write-frac=F --threads=1,2,4,8,16
 // PGSSI_BENCH_SECONDS sets the per-point window (default 1s).
 #include <cstdio>
 #include <cstdlib>
@@ -57,8 +49,6 @@ struct Config {
   uint64_t rows = 8192;
   double write_frac = 0.10;
   std::vector<int> threads = {1, 2, 4, 8, 16};
-  uint32_t partitions = kLockPartitions;
-  uint32_t heap_stripes = kHeapStripes;
   uint64_t skew_pairs = 16;
 };
 
@@ -86,7 +76,7 @@ Status RunReadMostly(Database* db, TableId t, const Config& cfg, Random& rng,
 struct Series {
   const char* name;
   IsolationLevel iso;
-  DatabaseOptions opts;
+  SerializableImpl impl;
 };
 
 bool Load(Database* db, uint64_t rows, TableId* t) {
@@ -136,9 +126,7 @@ void RunConflictSkewSeries(const Config& cfg, double secs,
                            std::vector<BenchRow>* rows_out) {
   const char* series = "SSI-skew";
   for (int threads : cfg.threads) {
-    DatabaseOptions opts;
-    opts.engine.heap_stripes = cfg.heap_stripes;
-    auto db = Database::Open(opts);
+    auto db = Database::Open();
     TableId t;
     if (!db->CreateTable("skew", &t).ok()) std::abort();
     {
@@ -155,8 +143,7 @@ void RunConflictSkewSeries(const Config& cfg, double secs,
         [&](int, Random& rng) { return RunWriteSkew(db.get(), t, cfg, rng); },
         threads, secs);
     BenchRow row = RowFromDriver(series, threads, r);
-    row.extra = {{"skew_pairs", static_cast<double>(cfg.skew_pairs)},
-                 {"heap_stripes", static_cast<double>(cfg.heap_stripes)}};
+    row.extra = {{"skew_pairs", static_cast<double>(cfg.skew_pairs)}};
     rows_out->push_back(row);
     std::printf("%-18s %8d %12.0f %9.2f%% %10.1f %10.1f\n", series, threads,
                 row.ops_per_sec, row.abort_rate * 100, row.p50_us, row.p99_us);
@@ -199,9 +186,7 @@ void RunTeardownSeries(const Config& cfg, double secs,
                        std::vector<BenchRow>* rows_out) {
   const char* series = "SSI-teardown";
   for (int threads : cfg.threads) {
-    DatabaseOptions opts;
-    opts.engine.heap_stripes = cfg.heap_stripes;
-    auto db = Database::Open(opts);
+    auto db = Database::Open();
     TableId t;
     if (!db->CreateTable("churn", &t).ok()) std::abort();
     {
@@ -234,11 +219,6 @@ int main(int argc, char** argv) {
       cfg.rows = std::strtoull(a + 7, nullptr, 10);
     } else if (std::strncmp(a, "--write-frac=", 13) == 0) {
       cfg.write_frac = std::atof(a + 13);
-    } else if (std::strncmp(a, "--partitions=", 13) == 0) {
-      cfg.partitions = static_cast<uint32_t>(std::strtoul(a + 13, nullptr, 10));
-    } else if (std::strncmp(a, "--heap-stripes=", 15) == 0) {
-      cfg.heap_stripes =
-          static_cast<uint32_t>(std::strtoul(a + 15, nullptr, 10));
     } else if (std::strncmp(a, "--threads=", 10) == 0) {
       cfg.threads.clear();
       for (const char* p = a + 10; *p;) {
@@ -248,54 +228,40 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--rows=N] [--write-frac=F] [--threads=a,b,...] "
-                   "[--partitions=N] [--heap-stripes=N]\n",
+                   "usage: %s [--rows=N] [--write-frac=F] [--threads=a,b,...]"
+                   "\n",
                    argv[0]);
       return 2;
     }
   }
   const double secs = PointSeconds(1.0);
 
-  DatabaseOptions si_opts;  // isolation chosen per txn; defaults otherwise
-  DatabaseOptions ssi_part;
-  ssi_part.engine.lock_partitions = cfg.partitions;
-  DatabaseOptions ssi_global;
-  ssi_global.engine.lock_partitions = 1;
-  DatabaseOptions s2pl;
-  s2pl.serializable_impl = SerializableImpl::kS2PL;
-  for (DatabaseOptions* o : {&si_opts, &ssi_part, &ssi_global, &s2pl}) {
-    o->engine.heap_stripes = cfg.heap_stripes;
-  }
-
-  std::vector<Series> series = {
-      {"SI", IsolationLevel::kRepeatableRead, si_opts},
-      {"SSI/partitioned", IsolationLevel::kSerializable, ssi_part},
-      {"SSI/global-mutex", IsolationLevel::kSerializable, ssi_global},
-      {"S2PL", IsolationLevel::kSerializable, s2pl},
+  const Series series[] = {
+      {"SI", IsolationLevel::kRepeatableRead, SerializableImpl::kSSI},
+      {"SSI", IsolationLevel::kSerializable, SerializableImpl::kSSI},
+      {"S2PL", IsolationLevel::kSerializable, SerializableImpl::kS2PL},
   };
-  if (cfg.partitions == 1) series.erase(series.begin() + 2);  // same thing
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
       "# SIREAD lock-manager scaling: %llu rows, %.0f%% write txns, %gs/point, "
       "%u partitions, %u hardware threads\n",
       static_cast<unsigned long long>(cfg.rows), cfg.write_frac * 100, secs,
-      cfg.partitions, hw);
+      kLockPartitions, hw);
   if (hw < 2) {
     std::printf(
         "# NOTE: single-core machine — partition scaling cannot show its "
-        "multicore win here; the A/B ratio below only reflects reduced futex "
-        "churn.\n");
+        "multicore win here.\n");
   }
   std::printf("%-18s %8s %12s %10s %10s %10s\n", "series", "threads", "txn/s",
               "abort%", "p50us", "p99us");
 
   std::vector<BenchRow> rows_out;
-  // speedup[threads] = partitioned / global-mutex throughput
-  double part8 = 0, global8 = 0;
   for (const Series& s : series) {
     for (int threads : cfg.threads) {
-      auto db = Database::Open(s.opts);
+      DatabaseOptions opts;  // isolation is chosen per transaction
+      opts.serializable_impl = s.impl;
+      auto db = Database::Open(opts);
       TableId t;
       if (!Load(db.get(), cfg.rows, &t)) {
         std::fprintf(stderr, "load failed\n");
@@ -309,29 +275,13 @@ int main(int argc, char** argv) {
       BenchRow row = RowFromDriver(s.name, threads, r);
       row.extra = {{"rows", static_cast<double>(cfg.rows)},
                    {"write_frac", cfg.write_frac},
-                   {"partitions",
-                    static_cast<double>(s.opts.engine.lock_partitions)},
-                   {"heap_stripes", static_cast<double>(cfg.heap_stripes)},
                    {"hardware_threads", static_cast<double>(hw)}};
       rows_out.push_back(row);
       std::printf("%-18s %8d %12.0f %9.2f%% %10.1f %10.1f\n", s.name, threads,
                   row.ops_per_sec, row.abort_rate * 100, row.p50_us,
                   row.p99_us);
       std::fflush(stdout);
-      if (threads == 8) {
-        if (std::strcmp(s.name, "SSI/partitioned") == 0)
-          part8 = row.ops_per_sec;
-        if (std::strcmp(s.name, "SSI/global-mutex") == 0)
-          global8 = row.ops_per_sec;
-      }
     }
-  }
-
-  if (part8 > 0 && global8 > 0) {
-    std::printf(
-        "# 8-thread SERIALIZABLE speedup, partitioned vs global mutex: "
-        "%.2fx\n",
-        part8 / global8);
   }
 
   std::printf("\n# High-conflict write skew, %llu pairs\n",

@@ -7,12 +7,10 @@
 // the 10-20% read-dependency-tracking overhead), with the read-only
 // optimizations recovering part of that gap at larger table sizes.
 //
-// Second section: heap-striping A/B — SERIALIZABLE writers updating
-// thread-disjoint keys on 1-8 threads, striped heap latch
-// (EngineConfig::heap_stripes, default 64) vs the old one-latch-per-
-// table design (--heap-stripes=1 pins the striped series; the stripes=1
-// baseline always runs for comparison). Disjoint keys never conflict,
-// so any scaling gap is pure latch contention.
+// Second section: disjoint-key writers — SERIALIZABLE writers updating
+// thread-disjoint keys on 1-8 threads over the striped heap latch.
+// Disjoint keys never conflict, so any scaling gap is pure latch
+// contention.
 //
 // Third section: conflict-heavy scaling — the SSI mix on a tiny (10-row)
 // table, where nearly every transaction pair conflicts and throughput is
@@ -24,7 +22,6 @@
 // Emits BENCH_sibench.json (series/threads/throughput/abort rate/
 // latency percentiles per point) for the perf trajectory.
 #include <cstdio>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -45,16 +42,12 @@ std::string WriterKey(int thread, uint64_t i) {
   return buf;
 }
 
-void RunDisjointWriteScaling(double secs, uint32_t stripes,
-                             std::vector<BenchRow>* rows_out) {
+void RunDisjointWriteScaling(double secs, std::vector<BenchRow>* rows_out) {
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   const uint64_t keys_per_thread = 256;
-  char series[48];
-  std::snprintf(series, sizeof(series), "disjoint-writes/stripes=%u", stripes);
+  const char* series = "disjoint-writes";
   for (int threads : thread_counts) {
-    DatabaseOptions opts;
-    opts.engine.heap_stripes = stripes;
-    auto db = Database::Open(opts);
+    auto db = Database::Open();
     TableId t;
     if (!db->CreateTable("w", &t).ok()) std::abort();
     {
@@ -81,8 +74,7 @@ void RunDisjointWriteScaling(double secs, uint32_t stripes,
         },
         threads, secs);
     BenchRow row = RowFromDriver(series, threads, r);
-    row.extra = {{"stripes", static_cast<double>(stripes)},
-                 {"keys_per_thread", static_cast<double>(keys_per_thread)}};
+    row.extra = {{"keys_per_thread", static_cast<double>(keys_per_thread)}};
     rows_out->push_back(row);
     std::printf("%-26s %8d %12.0f %9.2f%% %10.1f %10.1f\n", series, threads,
                 row.ops_per_sec, row.abort_rate * 100, row.p50_us, row.p99_us);
@@ -182,14 +174,9 @@ void RunInsertStormScaling(double secs, std::vector<BenchRow>* rows_out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint32_t heap_stripes = kHeapStripes;
-  for (int i = 1; i < argc; i++) {
-    if (std::strncmp(argv[i], "--heap-stripes=", 15) == 0) {
-      heap_stripes = static_cast<uint32_t>(std::atoi(argv[i] + 15));
-    } else {
-      std::fprintf(stderr, "usage: %s [--heap-stripes=N]\n", argv[0]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
   }
   const double secs = PointSeconds(1.0);
   const int threads = 4;
@@ -233,7 +220,7 @@ int main(int argc, char** argv) {
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
-      "\n# Heap striping A/B: SERIALIZABLE disjoint-key writers "
+      "\n# Heap striping: SERIALIZABLE disjoint-key writers "
       "(%u hardware threads)\n",
       hw);
   if (hw < 2) {
@@ -243,10 +230,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%-26s %8s %12s %10s %10s %10s\n", "series", "threads", "txn/s",
               "abort%", "p50us", "p99us");
-  RunDisjointWriteScaling(secs, heap_stripes, &rows_out);
-  if (heap_stripes != 1) {
-    RunDisjointWriteScaling(secs, 1, &rows_out);
-  }
+  RunDisjointWriteScaling(secs, &rows_out);
 
   std::printf("\n# Conflict-heavy scaling: SSI mix on a 10-row table\n");
   std::printf("%-26s %8s %12s %10s %10s %10s\n", "series", "threads", "txn/s",

@@ -15,10 +15,16 @@
 
 namespace pgssi {
 
-// Default SIREAD lock-table partition count (see EngineConfig).
+// Number of independent SIREAD lock-table partitions (hash of the lock
+// granule), the analogue of PostgreSQL's NUM_PREDICATELOCK_PARTITIONS.
+// Must be a power of two. (A 1-partition single-mutex baseline was
+// measured and retired: README "Retired A/Bs".)
 inline constexpr uint32_t kLockPartitions = 16;
 
-// Default per-table heap-latch stripe count (see EngineConfig).
+// Number of heap-latch stripes per table. Version chains hash (by
+// TupleId) onto stripes, so writers of independent keys take
+// independent latches. (The one-latch-per-table baseline was measured
+// and retired: README "Retired A/Bs".)
 inline constexpr uint32_t kHeapStripes = 64;
 
 enum class IsolationLevel {
@@ -58,19 +64,6 @@ struct EngineConfig {
   // SIREAD lock promotion thresholds (tuple -> page -> relation).
   uint32_t max_locks_per_page = 16;
   uint32_t max_pages_per_relation = 64;
-
-  // Number of independent SIREAD lock-table partitions (hash of the lock
-  // granule), the analogue of PostgreSQL's NUM_PREDICATELOCK_PARTITIONS.
-  // Rounded up to a power of two internally; 1 reproduces the old
-  // single-global-mutex behavior (the bench_lockmgr A/B baseline).
-  uint32_t lock_partitions = kLockPartitions;
-
-  // Number of heap-latch stripes per table. Version chains hash (by
-  // TupleId) onto stripes, so writers of independent keys take
-  // independent latches. Rounded up to a power of two internally;
-  // 1 reproduces the old one-latch-per-table behavior (the
-  // bench_sibench --heap-stripes=1 A/B baseline).
-  uint32_t heap_stripes = kHeapStripes;
 
   // Section 4: read-only snapshot ordering / safe snapshot optimizations.
   bool enable_read_only_opt = true;
@@ -129,16 +122,6 @@ struct EngineConfig {
   uint32_t net_workers = 4;
   // Accept ceiling: connections beyond this are refused at accept time.
   uint32_t net_max_sessions = 4096;
-  // Per-session backpressure: max parsed-but-unexecuted pipelined ops
-  // buffered engine-side; past this the server stops reading the
-  // connection's socket until the queue drains (responses are never
-  // dropped).
-  uint32_t net_backpressure_ops = 32;
-  // Per-session outbound byte cap for slow readers: while a session's
-  // write queue exceeds this, the server pauses executing its ops (the
-  // kernel socket buffer plus this queue bound total memory per slow
-  // client).
-  uint32_t net_write_queue_bytes = 256 * 1024;
   // Idle-in-transaction reaping (PostgreSQL's
   // idle_in_transaction_session_timeout): a connection that holds an
   // open transaction but has had no traffic for this long is sent a

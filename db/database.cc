@@ -145,7 +145,7 @@ Status Database::CreateTable(const std::string& name, TableId* id) {
   }
   TableId tid = static_cast<TableId>(tables_.size() + 1);
   auto t = std::make_unique<Table>(tid, name, opts_.engine.btree_fanout,
-                                   opts_.engine.heap_stripes, &epoch_);
+                                   &epoch_);
   // Section 5.2.2: leaf splits transfer SIREAD predicate locks so moved
   // granules stay covered.
   t->index.SetSplitListener(
@@ -187,13 +187,31 @@ std::unique_ptr<Transaction> Database::Begin(const TxnOptions& opts) {
   return t;
 }
 
-void Database::RunSireadCleanup() {
-  // Deferred aborted-insert GC rides along with Section 5.3 cleanup, so
-  // abort storms keep it off the insert path.
-  DrainIndexGc();
-  // Section 5.3 cleanup threshold; see TxnManager::CleanupBound for the
-  // ordering argument that makes this safe to apply late.
-  siread_.Cleanup(txn_mgr_.CleanupBound());
+void Database::FinishTxn(uint64_t marked_seq) {
+  // Deferred aborted-insert GC does not wait on the horizon (an aborted
+  // insert was never visible): drain whenever a record is queued, which
+  // keeps it off the insert path without taking gc_mu_ when idle.
+  if (gc_queued_.load(std::memory_order_relaxed) != 0) DrainIndexGc();
+  // Section 5.3 cleanup runs once per rise of the bound: the CAS that
+  // raises cleanup_bound_ picks the runner. TxnManager::CleanupBound
+  // explains why a bound read here is safe to apply late. A commit
+  // marked at or below the last run's bound may have been queued after
+  // that run passed its shard, and no later rise is promised (a
+  // read-only stream with no writer never moves the bound), so it runs
+  // cleanup itself.
+  uint64_t last = cleanup_bound_.load();
+  bool run = marked_seq != 0 && marked_seq <= last;
+  // The bound never exceeds the commit watermark: with no commit since
+  // the last run it cannot have risen, and one load settles it.
+  if (!run && txn_mgr_.LastCommittedSeq() <= last) return;
+  const uint64_t bound = txn_mgr_.CleanupBound();
+  while (bound > last) {
+    if (cleanup_bound_.compare_exchange_weak(last, bound)) {
+      run = true;
+      break;
+    }
+  }
+  if (run) siread_.Cleanup(bound);
 }
 
 void Database::QuiesceEpochs() {
@@ -242,6 +260,7 @@ BTree::EraseHooks Database::MakeEraseHooks(Table* tbl) {
 void Database::EnqueueIndexGc(TableId table, TupleId tid) {
   std::lock_guard<std::mutex> l(gc_mu_);
   gc_queue_.push_back(IndexGcRec{table, tid});
+  gc_queued_.store(gc_queue_.size(), std::memory_order_relaxed);
 }
 
 void Database::DrainIndexGc() {
@@ -250,6 +269,7 @@ void Database::DrainIndexGc() {
     std::lock_guard<std::mutex> l(gc_mu_);
     if (gc_queue_.empty()) return;
     q.swap(gc_queue_);
+    gc_queued_.store(0, std::memory_order_relaxed);
   }
   std::vector<IndexGcRec> requeue;
   // Erase() descends optimistically before locking leaves; the descent
@@ -289,6 +309,7 @@ void Database::DrainIndexGc() {
   if (!requeue.empty()) {
     std::lock_guard<std::mutex> l(gc_mu_);
     gc_queue_.insert(gc_queue_.end(), requeue.begin(), requeue.end());
+    gc_queued_.store(gc_queue_.size(), std::memory_order_relaxed);
   }
 }
 
@@ -497,12 +518,7 @@ void Transaction::AbortInternal() {
   }
   db_->row_locks_.ReleaseAll(xid_);
   db_->txn_mgr_.Abort(xid_);
-  if (use_ssi_) {
-    db_->RunSireadCleanup();
-  } else {
-    db_->DrainIndexGc();  // SI aborts must not strand their GC records
-  }
-  db_->epoch_.AmortizedTick();
+  db_->FinishTxn(/*marked_seq=*/0);
   finished_ = true;
 }
 
@@ -556,14 +572,15 @@ Status Transaction::CommitBody() {
     }
   }
 
+  uint64_t marked_seq = 0;  // the seq MarkCommitted recorded, if any
   if (writes_.empty()) {
     // Read-only commit: no new commit sequence number needed. The xact
     // stays registered in the lock manager (its SIREAD locks may still
     // matter) until cleanup decides otherwise.
     if (sxact_) {
       // Never 0: commit_seq 0 means commit-pending to the lock manager.
-      db_->siread_.MarkCommitted(
-          sxact_, std::max<uint64_t>(1, db_->txn_mgr_.LastCommittedSeq()));
+      marked_seq = std::max<uint64_t>(1, db_->txn_mgr_.LastCommittedSeq());
+      db_->siread_.MarkCommitted(sxact_, marked_seq);
       sxact_ = nullptr;
     }
     db_->txn_mgr_.Abort(xid_);  // deregister only; nothing to stamp
@@ -628,19 +645,13 @@ Status Transaction::CommitBody() {
       // kCrash (handled inside FailpointFires) is interesting.
     }
     if (sxact_) {
+      marked_seq = seq;
       db_->siread_.MarkCommitted(sxact_, seq);
       sxact_ = nullptr;
     }
   }
   db_->row_locks_.ReleaseAll(xid_);
-  if (use_ssi_) {
-    // Section 5.3: committed xacts (and their SIREAD locks) are freed once
-    // every transaction concurrent with them has finished.
-    db_->RunSireadCleanup();
-  }
-  // SI-mode commits never reach Section 5.3 cleanup (the epoch sweep's
-  // main driver), so nudge the limbo here too; amortized, O(1) usually.
-  db_->epoch_.AmortizedTick();
+  db_->FinishTxn(marked_seq);
   finished_ = true;
   return Status::OK();
 }

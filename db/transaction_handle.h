@@ -120,6 +120,12 @@ class Database {
   /// regression asserts on these).
   size_t SireadTupleLockCount() const { return siread_.TupleLockCount(); }
   size_t SireadPageLockCount() const { return siread_.PageLockCount(); }
+  /// The SIREAD manager, read-only (registry size and cleanup counts).
+  const ssi::SireadLockManager& siread() const { return siread_; }
+  /// Aborted-insert GC records waiting for a drain.
+  size_t IndexGcQueueLength() const {
+    return gc_queued_.load(std::memory_order_relaxed);
+  }
   /// Commit watermark (recovery restarts it past the recovered log).
   uint64_t LastCommittedSeq() const { return txn_mgr_.LastCommittedSeq(); }
   /// Smallest snapshot among active transactions (UINT64_MAX when none):
@@ -219,12 +225,12 @@ class Database {
   //    across a row-lock wait (that would stall reclamation for the
   //    whole engine).
   struct Table {
-    Table(TableId i, std::string n, uint32_t fanout, uint32_t stripes,
+    Table(TableId i, std::string n, uint32_t fanout,
           util::EpochManager* epoch)
         : id(i),
           name(std::move(n)),
           index(fanout, epoch),
-          heap_latch(stripes) {}
+          heap_latch(kHeapStripes) {}
     TableId id;
     std::string name;
     BTree index;  // key -> TupleId (+ page/slot granule)
@@ -236,7 +242,15 @@ class Database {
 
   explicit Database(const DatabaseOptions& opts);
   Table* GetTable(TableId id) const;
-  void RunSireadCleanup();
+  /// The one finish routine: every commit and abort of a started
+  /// transaction calls it once, at the end. It drains queued index GC,
+  /// then runs Section 5.3 cleanup (plus one epoch sweep attempt) when
+  /// TxnManager::CleanupBound has risen past the last run's bound.
+  /// `marked_seq` is the seq this commit passed to MarkCommitted, 0 when
+  /// it registered no committed xact (every abort, and commits outside
+  /// SSI). Takes no registry shard and no gc_mu_ when neither trigger
+  /// holds and the GC queue is empty.
+  void FinishTxn(uint64_t marked_seq);
 
   // ----- durability (wal/) -----
   // Scan + replay + writer reopen; called once from Open, before any
@@ -286,6 +300,11 @@ class Database {
 
   std::mutex gc_mu_;
   std::vector<IndexGcRec> gc_queue_;
+  // gc_queue_.size(), published under gc_mu_: FinishTxn's lock-free
+  // "anything to drain?" check.
+  std::atomic<size_t> gc_queued_{0};
+  // Highest bound a Section 5.3 cleanup run has claimed (FinishTxn).
+  std::atomic<uint64_t> cleanup_bound_{0};
 
   std::atomic<uint64_t> ww_aborts_{0};
   std::atomic<uint64_t> s2pl_deadlocks_{0};

@@ -86,12 +86,8 @@ Server::Server(Database* db, ServerOptions opts)
   if (opts_.workers == 0) opts_.workers = eng.net_workers;
   if (opts_.workers == 0) opts_.workers = 1;
   if (opts_.max_sessions == 0) opts_.max_sessions = eng.net_max_sessions;
-  backpressure_ops_ =
-      opts_.backpressure_ops ? opts_.backpressure_ops : eng.net_backpressure_ops;
-  if (backpressure_ops_ == 0) backpressure_ops_ = 1;
-  write_queue_bytes_ = opts_.write_queue_bytes ? opts_.write_queue_bytes
-                                               : eng.net_write_queue_bytes;
-  if (write_queue_bytes_ == 0) write_queue_bytes_ = 64 * 1024;
+  if (opts_.backpressure_ops == 0) opts_.backpressure_ops = kBackpressureOps;
+  if (opts_.write_queue_bytes == 0) opts_.write_queue_bytes = kWriteQueueBytes;
   park_interval_us_ = eng.deadlock_check_interval_us;
   if (park_interval_us_ == 0) park_interval_us_ = 1000;
   idle_txn_timeout_us_ = eng.idle_in_txn_timeout_us;
@@ -421,7 +417,7 @@ void Server::HandleReadable(const ConnPtr& c) {
     std::lock_guard<std::mutex> l(c->ops_mu);
     qn = c->ops.size();
   }
-  if (qn >= backpressure_ops_ && !c->read_paused) {
+  if (qn >= opts_.backpressure_ops && !c->read_paused) {
     c->read_paused = true;
     read_pauses_.fetch_add(1, std::memory_order_relaxed);
     epoll_event ev{};
@@ -485,7 +481,7 @@ void Server::FlushWrites(const ConnPtr& c) {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->fd, &ev);
     }
     if (c->write_paused.load(std::memory_order_acquire) &&
-        pending < write_queue_bytes_ / 2) {
+        pending < opts_.write_queue_bytes / 2) {
       c->write_paused.store(false, std::memory_order_release);
       drained_below_pause = true;
     }
@@ -684,7 +680,7 @@ void Server::RunConn(const ConnPtr& c) {
     c->last_activity_us.store(NowMicros(), std::memory_order_relaxed);
     // Response bytes are waiting; if the intake was paused and we have
     // drained half the queue, ask for more.
-    if (qn <= backpressure_ops_ / 2) {
+    if (qn <= opts_.backpressure_ops / 2) {
       c->want_read_rearm.store(true, std::memory_order_release);
     }
     NudgeEpoll(c);
@@ -837,7 +833,7 @@ bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
   {
     std::lock_guard<std::mutex> l(c->out_mu);
     c->out += frame;
-    if (c->out.size() - c->out_off > write_queue_bytes_) {
+    if (c->out.size() - c->out_off > opts_.write_queue_bytes) {
       c->write_paused.store(true, std::memory_order_release);
     }
   }

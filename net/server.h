@@ -85,7 +85,8 @@ namespace pgssi::net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read the bound port via port()
-  // 0 = take the default from EngineConfig (net_workers etc.).
+  // 0 = the default: EngineConfig's net_workers / net_max_sessions, and
+  // Server::kBackpressureOps / kWriteQueueBytes.
   uint32_t workers = 0;
   uint32_t max_sessions = 0;
   uint32_t backpressure_ops = 0;
@@ -94,6 +95,13 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// Per-connection backpressure defaults (see the header comment):
+  /// parsed-but-unexecuted ops before the socket stops being read, and
+  /// queued outbound bytes before op execution pauses (the kernel
+  /// socket buffer plus this bound total memory per slow client).
+  static constexpr uint32_t kBackpressureOps = 32;
+  static constexpr uint32_t kWriteQueueBytes = 256 * 1024;
+
   /// `db` is borrowed and must outlive the server (destroy order:
   /// server first — its Stop() drains the sessions the Database's
   /// destruction contract requires gone).
@@ -151,8 +159,6 @@ class Server {
 
   Database* db_;
   ServerOptions opts_;
-  uint32_t backpressure_ops_ = 0;
-  uint32_t write_queue_bytes_ = 0;
   uint64_t park_interval_us_ = 0;
   uint64_t idle_txn_timeout_us_ = 0;
   uint32_t overload_retry_after_ms_ = 0;

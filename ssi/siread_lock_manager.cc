@@ -6,13 +6,6 @@
 namespace pgssi::ssi {
 namespace {
 constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
-constexpr size_t kMaxPartitions = 1024;
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 uint64_t MixHash(uint64_t h) {
   h ^= h >> 33;
@@ -33,17 +26,14 @@ SireadLockManager::SireadLockManager(const EngineConfig& cfg,
                                      util::EpochManager* epoch)
     : cfg_(cfg),
       epoch_(epoch),
-      partition_count_(RoundUpPow2(std::min<size_t>(
-          kMaxPartitions, std::max<uint32_t>(1, cfg.lock_partitions)))),
-      partition_mask_(partition_count_ - 1),
-      partitions_(new Partition[partition_count_]),
+      partitions_(new Partition[kPartitions]),
       xact_shards_(new XactShard[kXactShards]) {}
 
 SireadLockManager::~SireadLockManager() {
   // Destruction contract: quiesced. Anything already handed to the
   // epoch limbo is freed by the EpochManager; everything still linked
   // here is freed directly.
-  for (size_t i = 0; i < partition_count_; ++i) {
+  for (size_t i = 0; i < kPartitions; ++i) {
     Partition& p = partitions_[i];
     for (auto& [k, s] : p.tuple_locks) delete s;
     for (auto& [k, s] : p.page_locks) delete s;
@@ -76,7 +66,7 @@ class SireadLockManager::EdgePairLock {
 size_t SireadLockManager::PartitionIndex(RelationId rel, PageId page) const {
   return static_cast<size_t>(MixHash(
              static_cast<uint64_t>(rel) * 0x9E3779B97F4A7C15ULL ^ page)) &
-         partition_mask_;
+         (kPartitions - 1);
 }
 
 size_t SireadLockManager::PartitionIndexForRelation(RelationId rel) const {
@@ -84,7 +74,7 @@ size_t SireadLockManager::PartitionIndexForRelation(RelationId rel) const {
   // stream so they don't pile onto the partition of some hot page.
   return static_cast<size_t>(
              MixHash(static_cast<uint64_t>(rel) + 0xC2B2AE3D27D4EB4FULL)) &
-         partition_mask_;
+         (kPartitions - 1);
 }
 
 SireadLockManager::XactShard& SireadLockManager::ShardFor(XactId xid) const {
@@ -794,17 +784,14 @@ Status SireadLockManager::PreCommit(SerializableXact* x) {
 
 void SireadLockManager::MarkCommitted(SerializableXact* x,
                                       uint64_t commit_seq) {
-  // The shard mutex both orders the commit-seq store against Cleanup's
-  // shard scan (the scan holds it) and makes the per-shard floor
-  // ratchet race-free against the scan's exact recompute.
+  // The shard mutex orders the commit-seq store and the append against
+  // Cleanup's pops of this shard (it holds the same mutex).
   XactShard& sh = ShardFor(x->xid);
   std::lock_guard<CheckedMutex> sl(sh.mu);
   x->committed.store(true, std::memory_order_relaxed);
   x->commit_seq.store(commit_seq, std::memory_order_release);
-  const uint64_t cur = sh.min_committed.load(std::memory_order_relaxed);
-  if (commit_seq < cur) {
-    sh.min_committed.store(commit_seq, std::memory_order_release);
-  }
+  if (sh.committed.empty()) sh.head_seq.store(commit_seq);
+  sh.committed.push_back(x);
 }
 
 void SireadLockManager::DissolveEdges(SerializableXact* x, bool make_sticky) {
@@ -898,40 +885,41 @@ void SireadLockManager::Abort(SerializableXact* x) {
     DissolveEdges(x, /*make_sticky=*/false);
   }
   if (registered) epoch_->Retire(x, DeleteXact);  // else caller-owned
-  epoch_->AmortizedTick();
 }
 
-void SireadLockManager::Cleanup(uint64_t oldest_active_snapshot_seq) {
-  // Drive the limbo on every call — index GC and granule sets wait on
-  // epoch advancement even when no xact is freeable.
-  epoch_->TryAdvanceAndSweep();
-  if (min_committed_seq_hint() > oldest_active_snapshot_seq) return;
+void SireadLockManager::Cleanup(uint64_t bound) {
+  // Drive the limbo on every run that has something in it: index GC and
+  // granule sets wait on epoch advancement even when no xact is
+  // freeable.
+  if (epoch_->RetiredObjectCount() != 0) epoch_->TryAdvanceAndSweep();
 
-  // Phase 1: unlink candidates shard by shard. Holding only the shard
-  // mutex, recompute that shard's committed floor exactly — concurrent
-  // MarkCommitted ratchets for this shard take the same mutex, so the
-  // recompute cannot clobber a commit it did not see.
+  // Phase 1: pop each shard's commit-ordered queue while its head
+  // committed at or below the bound. An append can land out of seq
+  // order (a read-only MarkCommitted racing a writer's, or two writers
+  // in one shard), so a freeable xact may sit behind a head that is
+  // not: it is freed once a later bound passes that head. The queue
+  // only ever delays a free; it never frees an xact above the bound.
   std::vector<SerializableXact*> dead;
+  uint64_t visits = 0;
   for (size_t i = 0; i < kXactShards; ++i) {
     XactShard& sh = xact_shards_[i];
+    if (sh.head_seq.load() > bound) continue;  // nothing freeable here
     std::lock_guard<CheckedMutex> sl(sh.mu);
-    uint64_t min_seq = kInf;
-    for (auto it = sh.map.begin(); it != sh.map.end();) {
-      SerializableXact* x = it->second;
-      const uint64_t seq = x->commit_seq.load(std::memory_order_relaxed);
-      if (x->committed.load(std::memory_order_relaxed) && seq != 0 &&
-          seq <= oldest_active_snapshot_seq) {
-        dead.push_back(x);
-        it = sh.map.erase(it);
-      } else {
-        if (x->committed.load(std::memory_order_relaxed) && seq != 0) {
-          min_seq = std::min(min_seq, seq);
-        }
-        ++it;
-      }
+    while (!sh.committed.empty()) {
+      SerializableXact* x = sh.committed.front();
+      ++visits;
+      if (x->commit_seq.load(std::memory_order_relaxed) > bound) break;
+      sh.committed.pop_front();
+      sh.map.erase(x->xid);
+      dead.push_back(x);
     }
-    sh.min_committed.store(min_seq, std::memory_order_release);
+    sh.head_seq.store(sh.committed.empty()
+                          ? kNoStickySeq
+                          : sh.committed.front()->commit_seq.load(
+                                std::memory_order_relaxed));
   }
+  cleanup_runs_.fetch_add(1, std::memory_order_relaxed);
+  if (visits != 0) cleanup_visits_.fetch_add(visits, std::memory_order_relaxed);
   if (dead.empty()) return;
 
   // Phase 2: release SIREAD locks FIRST — this sets defunct, the
@@ -947,7 +935,6 @@ void SireadLockManager::Cleanup(uint64_t oldest_active_snapshot_seq) {
     }
   }
   for (SerializableXact* x : dead) epoch_->Retire(x, DeleteXact);
-  epoch_->TryAdvanceAndSweep();
 }
 
 bool SireadLockManager::CommittedWithDangerousOut(XactId xid,
@@ -958,15 +945,6 @@ bool SireadLockManager::CommittedWithDangerousOut(XactId xid,
   if (!x->committed.load(std::memory_order_relaxed)) return false;
   std::lock_guard<CheckedMutex> el(x->edge_mu);
   return HasOutCommittedBefore(x, snapshot_seq + 1);
-}
-
-uint64_t SireadLockManager::min_committed_seq_hint() const {
-  uint64_t m = kInf;
-  for (size_t i = 0; i < kXactShards; ++i) {
-    m = std::min(m,
-                 xact_shards_[i].min_committed.load(std::memory_order_acquire));
-  }
-  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -1012,7 +990,7 @@ size_t SireadLockManager::RegisteredCount() const {
 
 size_t SireadLockManager::TupleLockCount() const {
   size_t n = 0;
-  for (size_t i = 0; i < partition_count_; i++) {
+  for (size_t i = 0; i < kPartitions; i++) {
     std::lock_guard<CheckedMutex> pl(partitions_[i].mu);
     n += partitions_[i].tuple_locks.size();
   }
@@ -1021,7 +999,7 @@ size_t SireadLockManager::TupleLockCount() const {
 
 size_t SireadLockManager::PageLockCount() const {
   size_t n = 0;
-  for (size_t i = 0; i < partition_count_; i++) {
+  for (size_t i = 0; i < kPartitions; i++) {
     std::lock_guard<CheckedMutex> pl(partitions_[i].mu);
     n += partitions_[i].page_locks.size();
   }
@@ -1030,7 +1008,7 @@ size_t SireadLockManager::PageLockCount() const {
 
 size_t SireadLockManager::RelationLockCount() const {
   size_t n = 0;
-  for (size_t i = 0; i < partition_count_; i++) {
+  for (size_t i = 0; i < kPartitions; i++) {
     std::lock_guard<CheckedMutex> pl(partitions_[i].mu);
     n += partitions_[i].rel_locks.size();
   }
@@ -1039,7 +1017,7 @@ size_t SireadLockManager::RelationLockCount() const {
 
 size_t SireadLockManager::TotalLockCount() const {
   size_t n = 0;
-  for (size_t i = 0; i < partition_count_; i++) {
+  for (size_t i = 0; i < kPartitions; i++) {
     std::lock_guard<CheckedMutex> pl(partitions_[i].mu);
     n += partitions_[i].tuple_locks.size() + partitions_[i].page_locks.size() +
          partitions_[i].rel_locks.size();
@@ -1054,8 +1032,8 @@ bool SireadLockManager::CheckConsistency() const {
     shard_locks.emplace_back(xact_shards_[i].mu);
   }
   std::vector<std::unique_lock<CheckedMutex>> locks;
-  locks.reserve(partition_count_);
-  for (size_t i = 0; i < partition_count_; i++) {
+  locks.reserve(kPartitions);
+  for (size_t i = 0; i < kPartitions; i++) {
     locks.emplace_back(partitions_[i].mu);
   }
   bool ok = true;
@@ -1063,7 +1041,7 @@ bool SireadLockManager::CheckConsistency() const {
   // Forward: every lock-table entry is mirrored in its holder's held
   // lists (and hashed to the right partition), and the published
   // occupancy matches the maps.
-  for (size_t i = 0; i < partition_count_; i++) {
+  for (size_t i = 0; i < kPartitions; i++) {
     const Partition& p = partitions_[i];
     const int64_t entries =
         static_cast<int64_t>(p.tuple_locks.size() + p.page_locks.size() +

@@ -17,7 +17,7 @@
 //
 // Concurrency design (the multicore hot path, mirroring PostgreSQL's
 // partitioned predicate-lock hash table):
-//  - The lock tables are hashed into EngineConfig::lock_partitions
+//  - The lock tables are hashed into kLockPartitions (db/config.h)
 //    independent partitions, each with its own mutex. Tuple and page
 //    granules of the same (relation, page) hash to the same partition, so
 //    AcquireTuple/AcquirePage/ProbeHeapWrite take exactly ONE partition
@@ -38,10 +38,13 @@
 //    pivot exists — dissolution requires the pivot's edge lock).
 //  - Xact registry membership lives in 16 hashed shards, each with its
 //    own mutex: registration, xid resolution and teardown touch one
-//    shard. Abort and Cleanup unlink under the shard lock + the parties'
-//    edge locks and hand the memory to a grace-period limbo
-//    (util/epoch.h); pointer liveness on the conflict path comes from
-//    epoch pins, not from a registry-wide lock.
+//    shard. Each shard also queues its committed xacts in commit order
+//    (PostgreSQL's FinishedSerializableTransactions), so Cleanup pops
+//    what it frees and never walks the registry. Abort and Cleanup
+//    unlink under the shard lock + the parties' edge locks and hand the
+//    memory to a grace-period limbo (util/epoch.h); pointer liveness on
+//    the conflict path comes from epoch pins, not from a registry-wide
+//    lock.
 //  - Lifecycle flags (committed/aborted/doomed/...) are atomics so the
 //    hot path (Doomed(), probe holder filtering) reads them lock-free.
 //
@@ -57,6 +60,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -208,16 +212,19 @@ class SireadLockManager {
   /// failure if `x` is doomed or is a pivot whose abort is required.
   Status PreCommit(SerializableXact* x);
 
+  /// Records x's commit and appends it to its shard's commit queue.
   void MarkCommitted(SerializableXact* x, uint64_t commit_seq);
   /// Abort: dissolve edges, release all SIREAD locks, unregister.
   void Abort(SerializableXact* x);
 
-  /// Free committed xacts (and their SIREAD locks) whose commit precedes
-  /// every active snapshot. Edges to still-live partners become sticky
-  /// summary flags. Cheap no-op (a few atomic loads) when nothing is
-  /// freeable. The sweep runs shard by shard under shard locks and the
-  /// freed memory goes to the epoch limbo.
-  void Cleanup(uint64_t oldest_active_snapshot_seq);
+  /// Free committed xacts (and their SIREAD locks) that committed at or
+  /// below `bound` (TxnManager::CleanupBound), popping each shard's
+  /// commit queue from its head: one atomic load per shard with nothing
+  /// freeable, plus O(freed) — never a registry walk. Edges to
+  /// still-live partners become sticky summary flags; the freed memory
+  /// goes to the epoch limbo. Also makes one epoch advance + sweep
+  /// attempt when the limbo is not empty.
+  void Cleanup(uint64_t bound);
 
   /// True if `x` (a committed concurrent txn) makes a candidate snapshot
   /// taken at `snapshot_seq` unsafe: it committed with an rw-out-edge to
@@ -246,11 +253,14 @@ class SireadLockManager {
   /// mirror invariants. Quiescent points only: it takes every shard and
   /// partition lock but reads edge lists without their edge locks.
   bool CheckConsistency() const;
-  size_t partition_count() const { return partition_count_; }
-  /// Cleanup's early-out threshold (smallest commit seq among live
-  /// committed xacts, kNoStickySeq when none). Introspection only: the
-  /// regression tests assert it advances when the floor xact retires.
-  uint64_t min_committed_seq_hint() const;
+  /// Cleanup calls, and the queued xacts they looked at, freed or not
+  /// (the horizon-trigger and O(freed) regressions assert on these).
+  uint64_t cleanup_runs() const {
+    return cleanup_runs_.load(std::memory_order_relaxed);
+  }
+  uint64_t cleanup_visits() const {
+    return cleanup_visits_.load(std::memory_order_relaxed);
+  }
   uint64_t page_promotions() const {
     return page_promotions_.load(std::memory_order_relaxed);
   }
@@ -295,16 +305,21 @@ class SireadLockManager {
     std::atomic<int64_t> occupancy{0};
   };
 
+  static constexpr size_t kPartitions = kLockPartitions;
+  static_assert((kPartitions & (kPartitions - 1)) == 0, "power of two");
+
   // One shard of the xact registry. Registration, xid resolution, and
-  // teardown unlinking touch one shard's mutex; the per-shard committed
-  // floor lets Cleanup recompute its early-out hint without any global
-  // lock (MarkCommitted's ratchet takes the same
-  // shard mutex, so the recompute cannot clobber a concurrent commit).
+  // teardown unlinking touch one shard's mutex. `committed` holds the
+  // shard's committed (still registered) xacts in MarkCommitted order;
+  // head_seq mirrors its front's commit seq (kNoStickySeq when empty),
+  // written under mu, so a Cleanup run skips a shard with nothing
+  // freeable without taking the mutex.
   static constexpr size_t kXactShards = 16;
   struct alignas(64) XactShard {
     mutable CheckedMutex mu;
     std::unordered_map<XactId, SerializableXact*> map;
-    std::atomic<uint64_t> min_committed{kNoStickySeq};
+    std::deque<SerializableXact*> committed;
+    std::atomic<uint64_t> head_seq{kNoStickySeq};
   };
 
   size_t PartitionIndex(RelationId rel, PageId page) const;
@@ -396,8 +411,6 @@ class SireadLockManager {
 
   EngineConfig cfg_;
   util::EpochManager* epoch_;
-  size_t partition_count_;  // power of two
-  size_t partition_mask_;
   std::unique_ptr<Partition[]> partitions_;
 
   // Global count of relation-granule lock entries; probes skip the
@@ -415,6 +428,8 @@ class SireadLockManager {
   std::atomic<uint64_t> page_promotions_{0};
   std::atomic<uint64_t> relation_promotions_{0};
   std::atomic<uint64_t> ssi_aborts_{0};
+  std::atomic<uint64_t> cleanup_runs_{0};
+  std::atomic<uint64_t> cleanup_visits_{0};
 };
 
 }  // namespace pgssi::ssi

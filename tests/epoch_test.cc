@@ -149,16 +149,6 @@ TEST(EpochTest, DestructorFreesLeftovers) {
   EXPECT_EQ(live.load(), 0);
 }
 
-TEST(EpochTest, AmortizedTickEventuallySweeps) {
-  EpochManager em;
-  std::atomic<int> live{0};
-  em.Retire(new Tracked(&live), DeleteTracked);
-  for (uint32_t i = 0; i < 4 * EpochManager::kTickPeriod; i++) {
-    em.AmortizedTick();
-  }
-  EXPECT_EQ(live.load(), 0);
-}
-
 TEST(EpochTest, ConcurrentRetireAndSweepStress) {
   EpochManager em;
   std::atomic<int> live{0};
@@ -175,7 +165,7 @@ TEST(EpochTest, ConcurrentRetireAndSweepStress) {
         } else {
           em.Retire(new Tracked(&live), DeleteTracked);
         }
-        em.AmortizedTick();
+        if (i % 64 == 0) em.TryAdvanceAndSweep();
       }
     });
   }
@@ -253,9 +243,8 @@ TEST(EpochReclaimTest, GranuleEntriesRetireThroughLimbo) {
   for (uint32_t s = 0; s < 8; s++) mgr.AcquireTuple(x, 1, 1, s);
   EXPECT_GT(mgr.TotalLockCount(), 0u);
   {
-    // Hold a pin so Abort's amortized tick cannot sweep its own
-    // retirees out from under the assertion (with no pins anywhere an
-    // idle tick legitimately frees them immediately).
+    // Hold a pin so no sweep can free the retirees out from under the
+    // assertion.
     EpochManager::Pin pin(&em);
     mgr.Abort(x);
     // Teardown retired the xact and the emptied holder sets into limbo.
@@ -278,7 +267,7 @@ TEST(EpochReclaimTest, CleanupDrivesLimboEvenWhenNothingFreeable) {
   EXPECT_EQ(live.load(), 0);
 }
 
-TEST(EpochReclaimTest, MinCommittedHintAdvances) {
+TEST(EpochReclaimTest, CleanupFreesOlderCommitThenSurvivor) {
   EngineConfig cfg;
   EpochManager em;
   ssi::SireadLockManager mgr(cfg, &em);
@@ -288,13 +277,11 @@ TEST(EpochReclaimTest, MinCommittedHintAdvances) {
   mgr.MarkCommitted(a, 10);
   ASSERT_TRUE(mgr.PreCommit(b).ok());
   mgr.MarkCommitted(b, 20);
-  EXPECT_EQ(mgr.min_committed_seq_hint(), 10u);
-  mgr.Cleanup(/*oldest=*/15);  // frees a, not b
-  EXPECT_EQ(mgr.min_committed_seq_hint(), 20u);
+  EXPECT_EQ(mgr.RegisteredCount(), 2u);
+  mgr.Cleanup(/*bound=*/15);  // frees a, not b
   EXPECT_EQ(mgr.RegisteredCount(), 1u);
-  mgr.Cleanup(/*oldest=*/25);
+  mgr.Cleanup(/*bound=*/25);
   EXPECT_EQ(mgr.RegisteredCount(), 0u);
-  EXPECT_EQ(mgr.min_committed_seq_hint(), ssi::kNoStickySeq);
   em.Quiesce();
   EXPECT_EQ(em.RetiredObjectCount(), 0u);
 }

@@ -200,6 +200,33 @@ TEST_F(MvccTest, ScanAndCountRespectSnapshots) {
   ASSERT_TRUE(r2->Commit().ok());
 }
 
+// Aborted-insert index GC drains from the one finish routine every
+// commit and abort runs, so an SI commit picks up a record that an
+// earlier drain had to re-queue.
+TEST_F(MvccTest, SiCommitDrainsQueuedIndexGc) {
+  auto inserter = db_->Begin();
+  ASSERT_TRUE(inserter->Insert(t_, "k", "v").ok());
+  Transaction writer(db_.get(), {});
+  ASSERT_TRUE(writer.TryBegin().ok());
+  ASSERT_TRUE(writer.TryPut(t_, "k", "w").IsWouldBlock());
+  // The abort's row-lock release signals the writer's token on this
+  // thread, before the abort drains its GC record: the writer's retried
+  // Put adds an uncommitted version to the emptied chain, so the drain has
+  // to re-queue the record.
+  writer.wait_token()->OnSignal(
+      [&] { EXPECT_TRUE(writer.TryPut(t_, "k", "w").ok()); });
+  ASSERT_TRUE(inserter->Abort().ok());
+  ASSERT_EQ(db_->IndexGcQueueLength(), 1u);
+
+  ASSERT_TRUE(writer.TryCommit().ok());
+  EXPECT_EQ(db_->IndexGcQueueLength(), 0u);
+  auto r = db_->Begin();
+  std::string v;
+  ASSERT_TRUE(r->Get(t_, "k", &v).ok());
+  EXPECT_EQ(v, "w");
+  ASSERT_TRUE(r->Commit().ok());
+}
+
 TEST_F(MvccTest, HotChainPruningKeepsEngineUsable) {
   {
     auto w = db_->Begin();

@@ -347,10 +347,8 @@ TEST(PredicateCoverageTest, TailGapInsertProbesAcrossEmptyLeaves) {
 // aborted inserts from 8 threads, ending in a full consistency check.
 // ---------------------------------------------------------------------------
 
-void RunStripedHeapStress(uint32_t stripes) {
-  DatabaseOptions opts;
-  opts.engine.heap_stripes = stripes;
-  auto db = Database::Open(opts);
+TEST(PredicateCoverageTest, StripedHeapStressDefaultStripes) {
+  auto db = Database::Open();
   TableId t;
   ASSERT_TRUE(db->CreateTable("stress", &t).ok());
 
@@ -437,14 +435,6 @@ void RunStripedHeapStress(uint32_t stripes) {
   }
   ASSERT_TRUE(r->Commit().ok());
   EXPECT_TRUE(db->CheckSsiLockConsistency());
-}
-
-TEST(PredicateCoverageTest, StripedHeapStressDefaultStripes) {
-  RunStripedHeapStress(kHeapStripes);
-}
-
-TEST(PredicateCoverageTest, StripedHeapStressSingleStripeBaseline) {
-  RunStripedHeapStress(1);
 }
 
 }  // namespace

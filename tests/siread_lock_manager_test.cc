@@ -1,9 +1,12 @@
 // SIREAD lock manager unit tests: multi-granularity promotion thresholds,
-// probe hit/miss, page-split lock transfer, and commit-cleanup release.
+// probe hit/miss, page-split lock transfer, and commit-cleanup release
+// (including the Database's horizon-triggered cleanup runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "db/transaction_handle.h"
 #include "ssi/siread_lock_manager.h"
 
 namespace pgssi::ssi {
@@ -161,31 +164,122 @@ TEST(SireadLockManagerTest, SireadLocksSurviveCommitUntilCleanup) {
   EXPECT_TRUE(mgr.ProbeHeapWrite(1, 7, 0).holder_xids.empty());
 }
 
-// Regression: the Cleanup early-out hint must advance once the xact
-// holding the floor commit seq retires, or it stays at the all-time low
-// forever and the early-out never fires again (and, inverted, a hint
-// that failed to track survivors could wrongly skip reclaiming them).
-// Fails if Cleanup's exact recompute over survivors is removed.
-TEST(SireadLockManagerTest, CleanupAdvancesMinCommittedFloorWhenFloorRetires) {
+// Cleanup frees exactly the committed xacts at or below its bound: the
+// older commit goes at the lower bound, its survivor (and the survivor's
+// SIREAD lock) only once a later bound passes it.
+TEST(SireadLockManagerTest, CleanupFreesOlderCommitThenSurvivor) {
   EngineConfig cfg;
   util::EpochManager em;
   SireadLockManager mgr(cfg, &em);
-  SerializableXact* floor_xact = mgr.Register(1, 0, false);
+  SerializableXact* older = mgr.Register(1, 0, false);
   SerializableXact* survivor = mgr.Register(2, 0, false);
   mgr.AcquireTuple(survivor, 1, 1, 1);
-  mgr.MarkCommitted(floor_xact, 1);
+  mgr.MarkCommitted(older, 1);
   mgr.MarkCommitted(survivor, 5);
-  EXPECT_EQ(mgr.min_committed_seq_hint(), 1u);
+  EXPECT_EQ(mgr.RegisteredCount(), 2u);
 
-  mgr.Cleanup(/*oldest_active_snapshot_seq=*/1);  // frees only the floor
+  mgr.Cleanup(/*bound=*/1);  // frees only the older commit
   EXPECT_EQ(mgr.RegisteredCount(), 1u);
-  EXPECT_EQ(mgr.min_committed_seq_hint(), 5u);
+  EXPECT_EQ(mgr.TupleLockCount(), 1u);
 
-  // ... so a later cleanup past the survivor's seq actually reclaims it.
-  mgr.Cleanup(/*oldest_active_snapshot_seq=*/5);
+  mgr.Cleanup(/*bound=*/5);
   EXPECT_EQ(mgr.RegisteredCount(), 0u);
   EXPECT_EQ(mgr.TupleLockCount(), 0u);
-  EXPECT_EQ(mgr.min_committed_seq_hint(), kNoStickySeq);  // nothing live
+}
+
+// A commit queued out of seq order (seq 10 appended before seq 9 in one
+// shard) is never lost and never freed early: it waits behind the head
+// until the bound passes the head, then both go.
+TEST(SireadLockManagerTest, OutOfOrderCommitWaitsForHeadThenFrees) {
+  EngineConfig cfg;
+  bool same_shard_found = false;
+  // Shards are private; find an xid that shares xid 1's shard by its
+  // effect: behind seq 10 in the same shard, seq 9 survives Cleanup(9).
+  for (XactId other = 2; other < 200 && !same_shard_found; ++other) {
+    util::EpochManager em;
+    SireadLockManager mgr(cfg, &em);
+    SerializableXact* first = mgr.Register(1, 0, false);
+    SerializableXact* second = mgr.Register(other, 0, false);
+    mgr.AcquireTuple(second, 1, 1, 1);
+    mgr.MarkCommitted(first, 10);
+    mgr.MarkCommitted(second, 9);
+    mgr.Cleanup(/*bound=*/9);
+    if (mgr.RegisteredCount() == 1u) {  // different shards: 9 freed
+      EXPECT_EQ(mgr.TupleLockCount(), 0u);
+      continue;
+    }
+    same_shard_found = true;
+    ASSERT_EQ(mgr.RegisteredCount(), 2u);
+    EXPECT_TRUE(Holds(mgr.ProbeHeapWrite(1, 1, 1), other));
+    mgr.Cleanup(/*bound=*/10);
+    EXPECT_EQ(mgr.RegisteredCount(), 0u);
+    EXPECT_EQ(mgr.TupleLockCount(), 0u);
+  }
+  EXPECT_TRUE(same_shard_found);
+}
+
+// Section 5.3 cleanup is horizon-triggered and O(freed). While one
+// reader pins the cleanup bound, 1,000 SSI commits run no cleanup (no
+// run, no queued xact visited) and take no GC drain; when the reader
+// ends, one run frees them all, visiting about as many xacts as it
+// frees.
+TEST(SireadLockManagerTest, PinnedReaderDefersCleanupToOneRun) {
+  auto db = Database::Open();
+  TableId t;
+  ASSERT_TRUE(db->CreateTable("t", &t).ok());
+  const TxnOptions ser{.isolation = IsolationLevel::kSerializable};
+  auto reader = db->Begin(ser);
+  std::string v;
+  EXPECT_EQ(reader->Get(t, "k0", &v).code(), Code::kNotFound);
+
+  const SireadLockManager& mgr = db->siread();
+  const uint64_t runs_before = mgr.cleanup_runs();
+  const uint64_t visits_before = mgr.cleanup_visits();
+  const size_t registered_before = mgr.RegisteredCount();
+  constexpr size_t kCommits = 1000;
+  for (size_t i = 0; i < kCommits; i++) {
+    auto w = db->Begin(ser);
+    ASSERT_TRUE(w->Put(t, "k" + std::to_string(1 + i % 16), "v").ok());
+    ASSERT_TRUE(w->Commit().ok());
+    // FinishTxn only takes gc_mu_ when this reads nonzero.
+    ASSERT_EQ(db->IndexGcQueueLength(), 0u);
+  }
+  EXPECT_EQ(mgr.cleanup_runs(), runs_before)
+      << "a commit with an unmoved bound ran cleanup";
+  EXPECT_EQ(mgr.cleanup_visits(), visits_before);
+  const size_t registered = mgr.RegisteredCount();  // the reader included
+  EXPECT_EQ(registered, registered_before + kCommits);
+
+  ASSERT_TRUE(reader->Commit().ok());  // the bound moves past them all
+  EXPECT_EQ(mgr.cleanup_runs(), runs_before + 1);
+  EXPECT_EQ(mgr.RegisteredCount(), 0u);
+  // Each of the 16 registry shards may add one unfreed head it examined.
+  const uint64_t visits = mgr.cleanup_visits() - visits_before;
+  EXPECT_GE(visits, registered);
+  EXPECT_LE(visits, registered + 16);
+}
+
+// With no writer, the cleanup bound never rises again, yet each
+// read-only commit is already behind it: the commit itself must run the
+// cleanup that frees it, or a read-only stream grows the registry until
+// the next write.
+TEST(SireadLockManagerTest, ReadOnlyStreamWithoutWritersStaysFreed) {
+  auto db = Database::Open();
+  TableId t;
+  ASSERT_TRUE(db->CreateTable("t", &t).ok());
+  const TxnOptions ser{.isolation = IsolationLevel::kSerializable};
+  {
+    auto w = db->Begin(ser);
+    ASSERT_TRUE(w->Put(t, "k", "v").ok());
+    ASSERT_TRUE(w->Commit().ok());
+  }
+  for (int i = 0; i < 1000; i++) {
+    auto r = db->Begin(ser);
+    std::string v;
+    ASSERT_TRUE(r->Get(t, "k", &v).ok());
+    ASSERT_TRUE(r->Commit().ok());
+    ASSERT_EQ(db->siread().RegisteredCount(), 0u) << "read-only commit " << i;
+  }
 }
 
 // Regression: "no sticky out-partner" must not be encoded as commit seq

@@ -37,7 +37,6 @@ TEST(SsiPartitionStressTest, ManagerChaosLeavesBookkeepingConsistent) {
   EngineConfig cfg;
   cfg.max_locks_per_page = 4;       // exercise tuple->page promotion
   cfg.max_pages_per_relation = 8;   // and page->relation promotion
-  cfg.lock_partitions = 16;
   // Granules and xacts retire through the limbo while the chaos runs.
   util::EpochManager em;
   ssi::SireadLockManager mgr(cfg, &em);

@@ -28,11 +28,13 @@
 // index GC) unlink under their own locks and hand the memory straight
 // to the limbo.
 //
-// TryAdvanceAndSweep is amortized and contention-free: it try-locks a
-// single advance mutex and simply returns if another thread is already
-// sweeping. Drive it from periodic maintenance (RunSireadCleanup) and
-// from AmortizedTick() on high-frequency paths (one sweep attempt every
-// kTickPeriod ticks).
+// TryAdvanceAndSweep is contention-free: it try-locks a single advance
+// mutex and simply returns if another thread is already sweeping.
+// Besides Retire's own help-sweep when the ring wraps, the engine drives
+// it from one place: each run of the horizon-triggered Section 5.3
+// cleanup (SireadLockManager::Cleanup, called from the Database's
+// transaction finish routine when the cleanup bound moves) makes one
+// attempt, and Database::QuiesceEpochs drains the limbo fully.
 #pragma once
 
 #include <atomic>
@@ -49,7 +51,6 @@ class EpochManager {
  public:
   static constexpr uint32_t kSlots = 64;        // power of two
   static constexpr uint32_t kGenerations = 8;   // limbo ring, power of two
-  static constexpr uint32_t kTickPeriod = 64;   // AmortizedTick sweep rate
 
   EpochManager();
   /// Frees everything still in limbo. The caller must guarantee no pin
@@ -84,14 +85,6 @@ class EpochManager {
   /// safe from any thread, pinned or not (a pinned caller simply cannot
   /// free its own generation — the sweep rule already guarantees that).
   void TryAdvanceAndSweep();
-
-  /// Amortized hook for hot paths: every kTickPeriod calls, one
-  /// TryAdvanceAndSweep.
-  void AmortizedTick() {
-    if ((tick_.fetch_add(1, std::memory_order_relaxed) % kTickPeriod) == 0) {
-      TryAdvanceAndSweep();
-    }
-  }
 
   /// Objects currently sitting in limbo (retired, not yet freed).
   size_t RetiredObjectCount() const {
@@ -150,7 +143,6 @@ class EpochManager {
   Generation gens_[kGenerations];
   std::atomic<size_t> retired_count_{0};
   std::atomic<uint64_t> freed_count_{0};
-  std::atomic<uint64_t> tick_{0};
   SpinLock advance_mu_;  // serializes advance/sweep attempts
   std::function<void()> test_after_pin_scan_;  // advance_mu_
 };

@@ -3,8 +3,7 @@
 // A power-of-two array of cache-line-aligned std::shared_mutex stripes;
 // a chain's stripe is chosen by hashing its TupleId, so writers of
 // independent keys land on independent stripes instead of serializing on
-// one per-table latch. Stripe count 1 reproduces the old single-latch
-// behavior (the bench A/B baseline, EngineConfig::heap_stripes).
+// one per-table latch. Tables use kHeapStripes (db/config.h).
 //
 // The latch guards only chain *content* (the versions vector). Index
 // shape is guarded by the B+-tree's own leaf/structure locks (taken
