@@ -138,10 +138,22 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "dbt2 wire load: %s\n", st.ToString().c_str());
         return 1;
       }
+      const uint64_t trips0 = wire.round_trips();
       DriverResult r = RunFixedDurationClassed(
           [&](int, Random& rng, int* cls) { return bench.RunOne(rng, cls); },
           {Dbt2::kClassNames[0], Dbt2::kClassNames[1]}, conns, secs);
-      report("dbt2/wire", conns, r, {{"ro_frac", cfg.read_only_fraction}});
+      // Every attempt's round trips (retries and aborts included) over
+      // the committed transactions.
+      const double trips_per_commit =
+          r.committed > 0 ? static_cast<double>(wire.round_trips() - trips0) /
+                                static_cast<double>(r.committed)
+                          : 0;
+      report("dbt2/wire", conns, r,
+             {{"ro_frac", cfg.read_only_fraction},
+              {"round_trips_per_commit", trips_per_commit}});
+      std::printf("# dbt2/wire %d conns: %.2f round trips per committed "
+                  "transaction\n",
+                  conns, trips_per_commit);
     }
     if (have_embedded) {
       Dbt2 bench(db.get(), cfg);

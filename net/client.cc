@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 namespace pgssi::net {
 
 namespace {
+
+constexpr size_t kReadChunk = 64 * 1024;
 
 // Per-thread jitter source for Begin's backoff loop (deterministic per
 // thread, no cross-thread locking on the hot retry path).
@@ -61,99 +64,128 @@ void WireClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  // Unparsed bytes belong to the dead connection, never the next one.
+  in_begin_ = in_end_ = 0;
 }
 
-Status WireClient::WriteAll(const char* p, size_t n) {
+Status WireClient::Fail(Status st) {
+  Close();
+  return st;
+}
+
+Status WireClient::Send(std::string_view frames) {
+  if (fd_ < 0) return Status::IOError("not connected");
+  round_trips_.fetch_add(1, std::memory_order_relaxed);
   if (util::FailpointFires("wireclient_write_err")) {
-    return Status::IOError("injected client write fault");
+    return Fail(Status::IOError("injected client write fault"));
   }
+  const char* p = frames.data();
+  size_t n = frames.size();
   if (util::FailpointFires("wireclient_torn_write")) {
-    // Half the frame reaches the server, then the socket dies: the
+    // Half the flight reaches the server, then the socket dies: the
     // server is left holding a truncated frame and must clean up when
     // the connection closes.
     size_t half = n / 2;
     while (half > 0) {
-      const ssize_t w = ::write(fd_, p, half);
+      const ssize_t w = ::send(fd_, p, half, MSG_NOSIGNAL);
       if (w <= 0) break;
       p += w;
       half -= static_cast<size_t>(w);
     }
-    return Status::IOError("injected torn client write");
+    return Fail(Status::IOError("injected torn client write"));
   }
   while (n > 0) {
-    const ssize_t w = ::write(fd_, p, n);
+    const ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (w > 0) {
       p += w;
       n -= static_cast<size_t>(w);
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
-    return Status::IOError("write: " + std::string(std::strerror(errno)));
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // The socket is full. The server may be waiting for us to read
+      // its responses before it reads more, so read while we wait.
+      pollfd pfd{fd_, POLLIN | POLLOUT, 0};
+      if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) break;
+      if (pfd.revents & POLLIN) {
+        Status st = Fill();
+        if (!st.ok()) return st;
+      }
+      continue;
+    }
+    break;
   }
-  return Status::OK();
+  if (n == 0) return Status::OK();
+  return Fail(Status::IOError("write: " + std::string(std::strerror(errno))));
 }
 
-Status WireClient::ReadAll(char* p, size_t n) {
+Status WireClient::Fill() {
+  if (in_begin_ == in_end_) in_begin_ = in_end_ = 0;
+  if (in_end_ == in_.size()) {
+    if (in_begin_ > 0) {  // compact
+      std::memmove(in_.data(), in_.data() + in_begin_, in_end_ - in_begin_);
+      in_end_ -= in_begin_;
+      in_begin_ = 0;
+    }
+    if (in_end_ == in_.size()) in_.resize(std::max<size_t>(in_.size() * 2, kReadChunk));
+  }
+  for (;;) {
+    const ssize_t r = ::read(fd_, in_.data() + in_end_, in_.size() - in_end_);
+    if (r > 0) {
+      in_end_ += static_cast<size_t>(r);
+      return Status::OK();
+    }
+    if (r < 0 && errno == EINTR) continue;
+    if (r == 0) return Fail(Status::IOError("connection closed by server"));
+    return Fail(Status::IOError("read: " + std::string(std::strerror(errno))));
+  }
+}
+
+Status WireClient::Receive(Status* reply, std::string* payload) {
+  if (fd_ < 0) return Status::IOError("not connected");
   if (util::FailpointFires("wireclient_read_err")) {
     // The request may already have executed server-side; losing the
     // response here is the ambiguous-ack window for commits.
-    return Status::IOError("injected client read fault");
+    return Fail(Status::IOError("injected client read fault"));
   }
-  while (n > 0) {
-    const ssize_t r = ::read(fd_, p, n);
-    if (r > 0) {
-      p += r;
-      n -= static_cast<size_t>(r);
-      continue;
+  uint32_t len = 0;
+  for (;;) {
+    const size_t avail = in_end_ - in_begin_;
+    if (avail >= 4) {
+      std::memcpy(&len, in_.data() + in_begin_, 4);
+      if (len == 0 || len > kMaxFrameBytes) {
+        return Fail(Status::IOError("bad response frame length"));
+      }
+      if (avail - 4 >= len) break;
     }
-    if (r < 0 && errno == EINTR) continue;
-    if (r == 0) return Status::IOError("connection closed by server");
-    return Status::IOError("read: " + std::string(std::strerror(errno)));
+    Status st = Fill();
+    if (!st.ok()) return st;
+  }
+  const char* body = in_.data() + in_begin_ + 4;
+  in_begin_ += 4 + len;
+  const uint8_t code = static_cast<uint8_t>(body[0]);
+  std::string_view rest(body + 1, len - 1);
+  if (code == static_cast<uint8_t>(Code::kOk)) {
+    if (payload) payload->assign(rest);
+    *reply = Status::OK();
+  } else if (code == static_cast<uint8_t>(Code::kOverloaded)) {
+    // Admission refusal: the payload is a retry-after hint, not an
+    // error message, and the server has already closed its side.
+    last_retry_after_ms_ = RetryAfterMsFromOverloaded(rest);
+    Close();
+    *reply = Status::Overloaded("server overloaded; retry after " +
+                                std::to_string(last_retry_after_ms_) + "ms");
+  } else {
+    *reply = StatusFromWire(code, std::string(rest));
   }
   return Status::OK();
 }
 
 Status WireClient::Call(const Request& req, std::string* payload) {
-  if (fd_ < 0) return Status::IOError("not connected");
-  const std::string frame = EncodeRequest(req);
-  Status st = WriteAll(frame.data(), frame.size());
-  if (!st.ok()) {
-    Close();
-    return st;
-  }
-  char lenbuf[4];
-  st = ReadAll(lenbuf, 4);
-  if (!st.ok()) {
-    Close();
-    return st;
-  }
-  uint32_t len = 0;
-  std::memcpy(&len, lenbuf, 4);
-  if (len == 0 || len > kMaxFrameBytes) {
-    Close();
-    return Status::IOError("bad response frame length");
-  }
-  std::string body(len, '\0');
-  st = ReadAll(body.data(), len);
-  if (!st.ok()) {
-    Close();
-    return st;
-  }
-  const uint8_t code = static_cast<uint8_t>(body[0]);
-  std::string rest = body.substr(1);
-  if (code == static_cast<uint8_t>(Code::kOk)) {
-    if (payload) *payload = std::move(rest);
-    return Status::OK();
-  }
-  if (code == static_cast<uint8_t>(Code::kOverloaded)) {
-    // Admission refusal: the payload is a retry-after hint, not an
-    // error message, and the server has already closed its side.
-    last_retry_after_ms_ = RetryAfterMsFromOverloaded(rest);
-    Close();
-    return Status::Overloaded("server overloaded; retry after " +
-                              std::to_string(last_retry_after_ms_) + "ms");
-  }
-  return StatusFromWire(code, std::move(rest));
+  Status st = Send(EncodeRequest(req));
+  Status reply;
+  if (st.ok()) st = Receive(&reply, payload);
+  return st.ok() ? reply : st;
 }
 
 Status WireClient::Ping() {
@@ -285,6 +317,56 @@ Status WireClient::Abort() {
   return Call(r, nullptr);
 }
 
+// ----- WireTxn -----
+
+WireTxn::~WireTxn() {
+  if (!pending_.empty()) {
+    // The caller's out-params and status slots may already be gone.
+    for (Pending& p : pending_) p = {p.kind, nullptr, nullptr, nullptr};
+    (void)Sync();
+  }
+  if (!finished_ && c_->connected()) (void)c_->Abort();
+}
+
+void WireTxn::Issue(const Stmt& s) {
+  static constexpr Op kOps[] = {Op::kGet, Op::kPut, Op::kInsert, Op::kCount,
+                                Op::kCommit};
+  const std::string_view none;
+  AppendStatement(&frames_, kOps[s.kind], s.abort_on_error, s.table,
+                  s.key ? std::string_view(*s.key) : none,
+                  s.value ? std::string_view(*s.value) : none);
+  pending_.push_back({s.kind, s.get_out, s.count_out, s.status});
+  if (s.kind == Stmt::kCommit) finished_ = true;
+}
+
+Status WireTxn::Sync() {
+  if (pending_.empty()) return DbTxn::Sync();
+  Status io = c_->Send(frames_);
+  frames_.clear();
+  std::string payload;
+  for (const Pending& p : pending_) {
+    Status reply;
+    if (io.ok()) {
+      io = c_->Receive(&reply,
+                       p.kind == Stmt::kGet && p.get_out ? p.get_out : &payload);
+    }
+    if (!io.ok()) {
+      reply = io;  // the connection is gone: so is every later response
+    } else if (reply.ok() && p.kind == Stmt::kCount) {
+      Reader rd(payload);
+      const uint64_t n = rd.U64();
+      if (!rd.ok) {
+        reply = Status::Internal("short Count response");
+      } else if (p.count_out) {
+        *p.count_out = n;
+      }
+    }
+    Complete(p.status, std::move(reply));
+  }
+  pending_.clear();
+  return DbTxn::Sync();
+}
+
 // ----- WireDbClient -----
 
 WireClient* WireDbClient::Conn() {
@@ -306,6 +388,13 @@ WireClient* WireDbClient::Conn() {
   if (!c->Connect(host_, port_).ok()) return nullptr;
   std::lock_guard<std::mutex> l(mu_);
   return conns_.emplace(me, std::move(c)).first->second.get();
+}
+
+uint64_t WireDbClient::round_trips() {
+  std::lock_guard<std::mutex> l(mu_);
+  uint64_t n = 0;
+  for (const auto& [id, c] : conns_) n += c->round_trips();
+  return n;
 }
 
 Status WireDbClient::CreateTable(const std::string& name, TableId* id) {

@@ -1,10 +1,15 @@
 // Blocking wire client for the session server.
 //
-// WireClient owns one TCP connection = one server-side session. It is a
-// simple one-outstanding-RPC client: Call() writes a request frame,
-// then blocks reading exactly one response frame (the server answers in
-// request order, and a parked session simply delays the response — the
-// client never sees kWouldBlock). NOT thread-safe; one thread per
+// WireClient owns one TCP connection = one server-side session. Call()
+// is one round trip: it writes a request frame, then blocks for its
+// response. Send()/Receive() pipeline: Send writes a whole flight of
+// frames, and each Receive returns the next response in request order
+// (the server answers in request order, and a parked session simply
+// delays the response — the client never sees kWouldBlock). Responses
+// are parsed out of large buffered reads. WireTxn queues a
+// transaction's statements and sends each flight with one Send, so a
+// DBT-2 new_order costs 3 round trips (Begin, its reads, its writes
+// with the Commit) instead of 14. NOT thread-safe; one thread per
 // client, which is exactly the shape the workload drivers use to put
 // many connections over few server workers.
 //
@@ -30,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -60,6 +66,22 @@ class WireClient {
   /// means the connection is dead (Close()d as a side effect).
   Status Call(const Request& req, std::string* payload);
 
+  /// Pipelining: writes whole request frames (one round trip; responses
+  /// that arrive while a long flight is still being written are
+  /// buffered, since the server stops reading a connection whose
+  /// responses go unread). Returns the transport status; on failure the
+  /// connection is Close()d.
+  Status Send(std::string_view frames);
+  /// Reads the next response: `*reply` gets the server's status and, on
+  /// success, `*payload` (optional) its result bytes. Returns the
+  /// transport status; on failure the connection is Close()d.
+  Status Receive(Status* reply, std::string* payload);
+
+  /// Send() calls so far: every round trip, Call()s included.
+  uint64_t round_trips() const {
+    return round_trips_.load(std::memory_order_relaxed);
+  }
+
   // ----- typed convenience wrappers -----
   Status Ping();
   /// Open-or-create: sets `*id` on both kOk and kAlreadyExists.
@@ -82,23 +104,32 @@ class WireClient {
   uint32_t last_retry_after_ms() const { return last_retry_after_ms_; }
 
  private:
-  Status WriteAll(const char* p, size_t n);
-  Status ReadAll(char* p, size_t n);
+  // Reads once into the inbound buffer (blocking).
+  Status Fill();
+  Status Fail(Status st);  // Close()s, returns st
 
   int fd_ = -1;
   uint32_t last_retry_after_ms_ = 0;
+  // Inbound bytes not yet parsed: in_[in_begin_, in_end_).
+  std::vector<char> in_;
+  size_t in_begin_ = 0;
+  size_t in_end_ = 0;
+  std::atomic<uint64_t> round_trips_{0};  // read by other threads
 };
 
 // ----- workload::DbClient over the wire -----
 
 /// One server-side transaction on a borrowed connection. Destruction
 /// sends kAbort unless Commit/Abort was called (matching EmbeddedTxn).
+/// Queued statements are encoded into one outbound buffer and sent as
+/// one flight by Sync(); a transport failure mid-flight reports kIOError
+/// for every statement whose response had not arrived. A transaction
+/// destroyed with statements still queued runs them first (the embedded
+/// client ran them when they were queued), without delivering results.
 class WireTxn final : public workload::DbTxn {
  public:
   explicit WireTxn(WireClient* c) : c_(c) {}
-  ~WireTxn() override {
-    if (!finished_ && c_->connected()) (void)c_->Abort();
-  }
+  ~WireTxn() override;
 
   Status Get(TableId table, const std::string& key,
              std::string* value) override {
@@ -131,10 +162,24 @@ class WireTxn final : public workload::DbTxn {
     finished_ = true;
     return c_->Abort();
   }
+  Status Sync() override;
+  bool pipelined() const override { return true; }
+
+ protected:
+  void Issue(const Stmt& s) override;
 
  private:
+  struct Pending {
+    Stmt::Kind kind;
+    std::string* get_out;
+    uint64_t* count_out;
+    Status* status;
+  };
+
   WireClient* c_;
   bool finished_ = false;
+  std::string frames_;  // the unsent flight
+  std::vector<Pending> pending_;
 };
 
 /// Connection-level retry shape for WireDbClient::Begin: capped
@@ -172,6 +217,8 @@ class WireDbClient final : public workload::DbClient {
   uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
+  /// Round trips over every connection this client opened.
+  uint64_t round_trips();
 
  private:
   // This thread's connection, opened on first use (null on connect

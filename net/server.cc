@@ -678,12 +678,17 @@ void Server::RunConn(const ConnPtr& c) {
     }
     ops_executed_.fetch_add(1, std::memory_order_relaxed);
     c->last_activity_us.store(NowMicros(), std::memory_order_relaxed);
-    // Response bytes are waiting; if the intake was paused and we have
-    // drained half the queue, ask for more.
+    // If the intake was paused and we have drained half the queue, ask
+    // for more.
     if (qn <= opts_.backpressure_ops / 2) {
       c->want_read_rearm.store(true, std::memory_order_release);
     }
-    NudgeEpoll(c);
+    // Response bytes are waiting. Flush once the queue drains (a flight
+    // of pipelined statements leaves in one write) or when a full write
+    // buffer pauses execution; a park or close nudges on its own.
+    if (qn == 0 || c->write_paused.load(std::memory_order_acquire)) {
+      NudgeEpoll(c);
+    }
   }
 }
 
@@ -812,6 +817,12 @@ bool Server::ExecuteOp(const ConnPtr& c, const Request& req) {
       }
     });
     return false;
+  }
+
+  if (!st.ok() && req.abort_on_error && InTxn(c->txn.get())) {
+    // A failed pipelined statement aborts the transaction, so the rest
+    // of its flight fails instead of committing a partial write set.
+    (void)c->txn->Abort();
   }
 
   if (req.op == Op::kCommit && NetFault("net_drop_after_commit")) {

@@ -20,7 +20,15 @@
 //
 // Responses are delivered strictly in request order per connection
 // (ops execute sequentially from the session's queue), so pipelining
-// needs no request ids.
+// needs no request ids: a client may write a whole flight of frames at
+// once and match the responses by position (net::WireTxn does).
+//
+// The op byte's high bit (kAbortOnError) marks a pipelined statement:
+// if it fails, the server aborts the session's transaction, so every
+// later statement of the flight, its Commit included, fails with "no
+// open transaction" instead of committing a partial write set
+// (PostgreSQL's pipeline-mode rule). The bit means nothing outside a
+// transaction; one-at-a-time RPCs leave it clear.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +63,9 @@ enum class Op : uint8_t {
 inline constexpr uint8_t kBeginReadOnly = 0x01;
 inline constexpr uint8_t kBeginDeferrable = 0x02;
 
+// Op-byte flag of a pipelined statement (see the header comment).
+inline constexpr uint8_t kAbortOnError = 0x80;
+
 // A frame larger than this is a protocol violation; the connection is
 // dropped (bounds per-connection parser memory).
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
@@ -67,6 +78,7 @@ struct Request {
   TableId table = 0;
   std::string key;    // also scan lo
   std::string value;  // also scan hi
+  bool abort_on_error = false;  // kAbortOnError
 };
 
 // ----- encoding primitives -----
@@ -153,15 +165,42 @@ struct Reader {
 
 // ----- request framing -----
 
+inline uint8_t OpByte(Op op, bool abort_on_error) {
+  return static_cast<uint8_t>(static_cast<uint8_t>(op) |
+                              (abort_on_error ? kAbortOnError : 0));
+}
+
+// Fields of the table statements (kGet..kCount); other ops have none.
+inline void PutStatementFields(std::string* b, Op op, TableId table,
+                               std::string_view key, std::string_view value) {
+  switch (op) {
+    case Op::kGet:
+    case Op::kDelete:
+      PutU32(b, table);
+      PutStr16(b, key);
+      break;
+    case Op::kPut:
+    case Op::kInsert:
+      PutU32(b, table);
+      PutStr16(b, key);
+      PutStr32(b, value);
+      break;
+    case Op::kScan:
+    case Op::kCount:
+      PutU32(b, table);
+      PutStr16(b, key);    // lo
+      PutStr16(b, value);  // hi
+      break;
+    default:
+      break;
+  }
+}
+
 /// Frame body (everything after the u32 length prefix).
 inline std::string EncodeRequestBody(const Request& r) {
   std::string b;
-  PutU8(&b, static_cast<uint8_t>(r.op));
+  PutU8(&b, OpByte(r.op, r.abort_on_error));
   switch (r.op) {
-    case Op::kPing:
-    case Op::kCommit:
-    case Op::kAbort:
-      break;
     case Op::kCreateTable:
     case Op::kOpenTable:
       PutStr16(&b, r.name);
@@ -170,25 +209,24 @@ inline std::string EncodeRequestBody(const Request& r) {
       PutU8(&b, r.isolation);
       PutU8(&b, r.flags);
       break;
-    case Op::kGet:
-    case Op::kDelete:
-      PutU32(&b, r.table);
-      PutStr16(&b, r.key);
-      break;
-    case Op::kPut:
-    case Op::kInsert:
-      PutU32(&b, r.table);
-      PutStr16(&b, r.key);
-      PutStr32(&b, r.value);
-      break;
-    case Op::kScan:
-    case Op::kCount:
-      PutU32(&b, r.table);
-      PutStr16(&b, r.key);    // lo
-      PutStr16(&b, r.value);  // hi
+    default:
+      PutStatementFields(&b, r.op, r.table, r.key, r.value);
       break;
   }
   return b;
+}
+
+/// Appends one whole statement frame (kGet..kCount, kCommit, kAbort,
+/// kPing) to a pipeline's outbound buffer, copying key and value once.
+inline void AppendStatement(std::string* out, Op op, bool abort_on_error,
+                            TableId table, std::string_view key,
+                            std::string_view value) {
+  const size_t at = out->size();
+  PutU32(out, 0);  // length, patched below
+  PutU8(out, OpByte(op, abort_on_error));
+  PutStatementFields(out, op, table, key, value);
+  const uint32_t len = static_cast<uint32_t>(out->size() - at - 4);
+  for (int i = 0; i < 4; i++) (*out)[at + i] = static_cast<char>(len >> (8 * i));
 }
 
 inline std::string EncodeRequest(const Request& r) {
@@ -204,9 +242,11 @@ inline std::string EncodeRequest(const Request& r) {
 /// truncated field, trailing bytes) — the server drops the connection.
 inline bool DecodeRequestBody(std::string_view body, Request* r) {
   Reader rd(body);
-  const uint8_t op = rd.U8();
+  const uint8_t byte = rd.U8();
+  const uint8_t op = byte & static_cast<uint8_t>(~kAbortOnError);
   if (!rd.ok || op > static_cast<uint8_t>(Op::kAbort)) return false;
   r->op = static_cast<Op>(op);
+  r->abort_on_error = (byte & kAbortOnError) != 0;
   switch (r->op) {
     case Op::kPing:
     case Op::kCommit:

@@ -34,6 +34,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "util/failpoint.h"
+#include "workload/dbt2.h"
 #include "workload/driver.h"
 #include "workload/rubis.h"
 #include "workload/sibench.h"
@@ -296,6 +297,76 @@ TEST(NetChaosTest, ChaosConvergence) {
   bool ok = false;
   ASSERT_TRUE(rubis.CheckConsistency(&ok).ok());
   EXPECT_TRUE(ok) << "RUBiS closing-price invariant violated under chaos";
+}
+
+// DBT-2 in pipelined flights under client-side faults and server-side
+// connection drops: a flight cut anywhere (torn write, lost response,
+// drop before execution, while parked, or after the commit) must either
+// commit whole or leave nothing. Ambiguous acks replay as new orders, so
+// the committed state alone must keep every district bump matched by
+// exactly one orders row.
+TEST(NetChaosTest, PipelinedDbt2ConvergesUnderFaults) {
+  FailpointGuard guard;
+  ServerOptions so;
+  so.workers = 2;
+  ServerFixture f(so);
+
+  net::WireRetryPolicy wire_retry;
+  wire_retry.max_attempts = 12;
+  WireDbClient client("127.0.0.1", f.port(), wire_retry);
+  workload::Dbt2Config cfg;
+  cfg.warehouses = 2;  // few districts: real write conflicts
+  cfg.districts_per_warehouse = 4;
+  cfg.read_only_fraction = 0.2;
+  workload::Dbt2 dbt2(&client, cfg);
+  ASSERT_TRUE(dbt2.Load().ok());
+
+  const char* sites[] = {"wireclient_write_err",  "wireclient_torn_write",
+                         "wireclient_read_err",   "net_drop_before_exec",
+                         "net_drop_parked",       "net_drop_after_commit"};
+  uint64_t baseline[std::size(sites)];
+  for (size_t i = 0; i < std::size(sites); i++) {
+    baseline[i] = util::FailpointFireCount(sites[i]);
+  }
+  util::FailpointArmChance("wireclient_write_err", FailpointAction::kErr, 8);
+  util::FailpointArmChance("wireclient_torn_write", FailpointAction::kErr, 8);
+  util::FailpointArmChance("wireclient_read_err", FailpointAction::kErr, 8);
+  util::FailpointArmChance("net_drop_before_exec", FailpointAction::kErr, 4);
+  util::FailpointArmChance("net_drop_parked", FailpointAction::kErr, 60);
+  util::FailpointArmChance("net_drop_after_commit", FailpointAction::kErr, 20);
+
+  workload::RetryPolicy retry;
+  retry.max_attempts = 10;
+  retry.retry_io_errors = true;
+  workload::DriverResult r = workload::RunFixedDurationClassed(
+      [&](int, Random& rng, int* cls) { return dbt2.RunOne(rng, cls); },
+      {workload::Dbt2::kClassNames[0], workload::Dbt2::kClassNames[1]}, 4,
+      PGSSI_CHAOS_SECS, retry);
+  util::FailpointClearAll();
+
+  EXPECT_GT(r.committed, 50u) << "retrying clients must complete work";
+  EXPECT_GT(r.retries, 0u);
+  int fired = 0;
+  for (size_t i = 0; i < std::size(sites); i++) {
+    fired += util::FailpointFireCount(sites[i]) > baseline[i];
+  }
+  EXPECT_GE(fired, 4) << "the faults must actually cut flights";
+
+  EXPECT_TRUE(ConvergedClean(f.db.get()));
+  EXPECT_TRUE(f.db->CheckSsiLockConsistency());
+
+  auto t = f.db->Begin({.isolation = IsolationLevel::kRepeatableRead});
+  std::vector<std::pair<std::string, std::string>> districts;
+  ASSERT_TRUE(t->Scan(f.db->GetTableId("district"), "", "\x7f", &districts)
+                  .ok());
+  uint64_t bumps = 0;
+  for (const auto& [k, v] : districts) bumps += std::stoull(v) - 1;
+  uint64_t orders = 0;
+  ASSERT_TRUE(t->Count(f.db->GetTableId("orders"), "", "\x7f", &orders).ok());
+  ASSERT_TRUE(t->Commit().ok());
+  EXPECT_GT(orders, 0u);
+  EXPECT_EQ(bumps, orders)
+      << "a cut flight committed a partial new_order write set";
 }
 
 // Without retrying clients the same faults surface as hard errors — the

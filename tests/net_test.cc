@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "net/client.h"
+#include "util/failpoint.h"
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define PGSSI_STRESS_SCALE 4
@@ -589,6 +590,189 @@ TEST(NetTest, StopAbortsInFlightAndParkedSessions) {
   EXPECT_GE(f->server->stats().shutdown_aborts, 2u);
   f.reset();
   blocked.join();
+}
+
+// ----- pipelined flights (WireTxn) -----
+
+// A flagged statement that fails aborts the transaction server-side: the
+// queued Commit behind it fails and the flight's earlier write is gone.
+TEST(NetTest, FlightFailedStatementAbortsTransaction) {
+  ServerFixture f;
+  WireClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", f.port()).ok());
+  TableId t = kInvalidTable;
+  ASSERT_TRUE(c.CreateTable("t", &t).ok());
+  ASSERT_TRUE(c.Begin({.isolation = IsolationLevel::kSerializable}).ok());
+  {
+    net::WireTxn txn(&c);
+    Status first, bad, commit;
+    txn.QueuePut(t, "a", "1", &first);
+    txn.QueuePut(t + 100, "b", "2", &bad);  // no such table
+    txn.QueueCommit(&commit);
+    const Status st = txn.Sync();
+    EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(st.message(), bad.message());
+    EXPECT_TRUE(first.ok()) << first.ToString();
+    EXPECT_EQ(commit.code(), Code::kInvalidArgument) << commit.ToString();
+    EXPECT_NE(commit.message().find("no open transaction"), std::string::npos);
+  }
+  ASSERT_TRUE(c.Begin().ok());
+  std::string v;
+  EXPECT_EQ(c.Get(t, "a", &v).code(), Code::kNotFound)
+      << "a flight whose statement failed must not commit its writes";
+  ASSERT_TRUE(c.Commit().ok());
+  EXPECT_TRUE(c.Ping().ok());
+}
+
+// A statement queued without abort_on_error may fail and the flight
+// still commits (new_order's tolerated order-row collision).
+TEST(NetTest, FlightToleratedInsertStillCommits) {
+  ServerFixture f;
+  WireClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", f.port()).ok());
+  TableId t = kInvalidTable;
+  ASSERT_TRUE(c.CreateTable("t", &t).ok());
+  ASSERT_TRUE(c.Begin().ok());
+  ASSERT_TRUE(c.Insert(t, "dup", "old").ok());
+  ASSERT_TRUE(c.Commit().ok());
+
+  ASSERT_TRUE(c.Begin({.isolation = IsolationLevel::kSerializable}).ok());
+  {
+    net::WireTxn txn(&c);
+    Status ins, commit;
+    txn.QueuePut(t, "x", "1");
+    txn.QueueInsert(t, "dup", "new", &ins, /*abort_on_error=*/false);
+    txn.QueueCommit(&commit);
+    EXPECT_EQ(txn.Sync().code(), Code::kAlreadyExists);
+    EXPECT_EQ(ins.code(), Code::kAlreadyExists);
+    EXPECT_TRUE(commit.ok()) << commit.ToString();
+  }
+  ASSERT_TRUE(c.Begin().ok());
+  std::string v;
+  ASSERT_TRUE(c.Get(t, "x", &v).ok());
+  EXPECT_EQ(v, "1");
+  ASSERT_TRUE(c.Get(t, "dup", &v).ok());
+  EXPECT_EQ(v, "old");
+  ASSERT_TRUE(c.Commit().ok());
+}
+
+// A write-write conflict in a queued Put is the flight's first failure,
+// so a retrying driver sees kSerializationFailure, not the "no open
+// transaction" of the Commit behind it.
+TEST(NetTest, FlightWriteConflictSurfacesAsSerializationFailure) {
+  ServerFixture f;
+  WireClient a, b;
+  ASSERT_TRUE(a.Connect("127.0.0.1", f.port()).ok());
+  ASSERT_TRUE(b.Connect("127.0.0.1", f.port()).ok());
+  TableId t = kInvalidTable;
+  ASSERT_TRUE(a.CreateTable("t", &t).ok());
+  ASSERT_TRUE(a.Begin().ok());
+  ASSERT_TRUE(a.Put(t, "k", "0").ok());
+  ASSERT_TRUE(a.Commit().ok());
+
+  ASSERT_TRUE(a.Begin({.isolation = IsolationLevel::kSerializable}).ok());
+  std::string v;
+  ASSERT_TRUE(a.Get(t, "k", &v).ok());  // a's snapshot predates b's write
+  ASSERT_TRUE(b.Begin({.isolation = IsolationLevel::kSerializable}).ok());
+  ASSERT_TRUE(b.Put(t, "k", "b").ok());
+  ASSERT_TRUE(b.Commit().ok());
+  {
+    net::WireTxn txn(&a);
+    Status other, commit;
+    txn.QueuePut(t, "k", "a");
+    txn.QueuePut(t, "other", "a", &other);
+    txn.QueueCommit(&commit);
+    const Status st = txn.Sync();
+    EXPECT_TRUE(st.IsSerializationFailure()) << st.ToString();
+    EXPECT_FALSE(other.ok());
+    EXPECT_FALSE(commit.ok());
+  }
+  ASSERT_TRUE(b.Begin().ok());
+  ASSERT_TRUE(b.Get(t, "k", &v).ok());
+  EXPECT_EQ(v, "b");
+  EXPECT_EQ(b.Get(t, "other", &v).code(), Code::kNotFound);
+  ASSERT_TRUE(b.Commit().ok());
+  EXPECT_TRUE(ConvergedClean(f.db.get()));
+}
+
+// A transport failure mid-flight: the responses already read are
+// delivered, every later statement reports kIOError, and the connection
+// is closed.
+TEST(NetTest, FlightTransportFailureFailsEveryPendingStatement) {
+  util::FailpointClearAll();
+  ServerFixture f;
+  WireClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", f.port()).ok());
+  TableId t = kInvalidTable;
+  ASSERT_TRUE(c.CreateTable("t", &t).ok());
+  ASSERT_TRUE(c.Begin().ok());
+  ASSERT_TRUE(c.Put(t, "k", "0").ok());
+  ASSERT_TRUE(c.Commit().ok());
+
+  ASSERT_TRUE(c.Begin({.isolation = IsolationLevel::kSerializable}).ok());
+  {
+    net::WireTxn txn(&c);
+    std::string v;
+    Status get, put, commit;
+    txn.QueueGet(t, "k", &v, &get);
+    txn.QueuePut(t, "k", "1", &put);
+    txn.QueueCommit(&commit);
+    // The second response is lost on the way in.
+    util::FailpointArm("wireclient_read_err", util::FailpointAction::kErr, 2);
+    const Status st = txn.Sync();
+    util::FailpointClearAll();
+    EXPECT_EQ(st.code(), Code::kIOError) << st.ToString();
+    EXPECT_TRUE(get.ok()) << get.ToString();
+    EXPECT_EQ(v, "0");
+    EXPECT_EQ(put.code(), Code::kIOError);
+    EXPECT_EQ(commit.code(), Code::kIOError);
+    EXPECT_FALSE(c.connected());
+  }
+  // A failed write loses the whole flight.
+  ASSERT_TRUE(c.Connect("127.0.0.1", f.port()).ok());
+  ASSERT_TRUE(c.Begin().ok());
+  {
+    net::WireTxn txn(&c);
+    Status put, commit;
+    txn.QueuePut(t, "k", "2", &put);
+    txn.QueueCommit(&commit);
+    util::FailpointArm("wireclient_write_err", util::FailpointAction::kErr, 1);
+    EXPECT_EQ(txn.Sync().code(), Code::kIOError);
+    util::FailpointClearAll();
+    EXPECT_EQ(put.code(), Code::kIOError);
+    EXPECT_EQ(commit.code(), Code::kIOError);
+    EXPECT_FALSE(c.connected());
+  }
+}
+
+// A flight far larger than the socket buffers and the server's
+// write-pause threshold completes: the client reads responses while it
+// is still writing.
+TEST(NetTest, LongFlightDoesNotDeadlock) {
+  ServerOptions so;
+  so.backpressure_ops = 4;
+  so.write_queue_bytes = 1024;
+  ServerFixture f(so);
+  WireClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", f.port()).ok());
+  TableId t = kInvalidTable;
+  ASSERT_TRUE(c.CreateTable("t", &t).ok());
+  ASSERT_TRUE(c.Begin().ok());
+  const std::string value(512, 'v');
+  constexpr int kRows = 20000;
+  uint64_t n = 0;
+  {
+    net::WireTxn txn(&c);
+    for (int i = 0; i < kRows; i++) {
+      txn.QueuePut(t, "k" + std::to_string(i), value);
+    }
+    txn.QueueCount(t, "k", "l", &n);
+    txn.QueueCommit();
+    const Status st = txn.Sync();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_EQ(n, static_cast<uint64_t>(kRows));
+  EXPECT_GT(f.server->stats().write_pauses, 0u);
 }
 
 }  // namespace

@@ -13,6 +13,19 @@
 //
 // CreateTable is open-or-create: OK with *id set whether the table was
 // created or already existed (other errors pass through).
+//
+// Pipelined statements (libpq pipeline mode's contract): Queue* issues
+// a statement and Sync() completes every statement queued since the
+// last Sync, in issue order, filling each one's status and out-param;
+// it returns the first failed status. A statement queued with
+// abort_on_error (the default) that fails aborts the transaction, so
+// every statement after it, a queued Commit included, fails too and no
+// partial write set commits. Inputs (table, key, value) are consumed
+// by the Queue* call itself; out-params and status slots must stay
+// valid until Sync() returns. Sync() before the next blocking call.
+// The base implementation runs each statement inline through the
+// blocking calls, so an embedded (or decorating) DbTxn pipelines for
+// free; net::WireTxn sends a whole flight in one write.
 #pragma once
 
 #include <memory>
@@ -26,6 +39,9 @@ namespace pgssi::workload {
 
 class DbTxn {
  public:
+  DbTxn() = default;
+  DbTxn(const DbTxn&) = delete;
+  DbTxn& operator=(const DbTxn&) = delete;
   /// Destruction aborts an unfinished transaction.
   virtual ~DbTxn() = default;
 
@@ -43,6 +59,91 @@ class DbTxn {
                        const std::string& hi, uint64_t* n) = 0;
   virtual Status Commit() = 0;
   virtual Status Abort() = 0;
+
+  // ----- pipelined statements (see the contract at the top) -----
+  /// `*value` must be non-null.
+  void QueueGet(TableId table, const std::string& key, std::string* value,
+                Status* status = nullptr, bool abort_on_error = true) {
+    Issue({Stmt::kGet, abort_on_error, table, &key, nullptr, value, nullptr,
+           status});
+  }
+  void QueuePut(TableId table, const std::string& key,
+                const std::string& value, Status* status = nullptr,
+                bool abort_on_error = true) {
+    Issue({Stmt::kPut, abort_on_error, table, &key, &value, nullptr, nullptr,
+           status});
+  }
+  void QueueInsert(TableId table, const std::string& key,
+                   const std::string& value, Status* status = nullptr,
+                   bool abort_on_error = true) {
+    Issue({Stmt::kInsert, abort_on_error, table, &key, &value, nullptr,
+           nullptr, status});
+  }
+  /// `*n` must be non-null.
+  void QueueCount(TableId table, const std::string& lo, const std::string& hi,
+                  uint64_t* n, Status* status = nullptr,
+                  bool abort_on_error = true) {
+    Issue({Stmt::kCount, abort_on_error, table, &lo, &hi, nullptr, n, status});
+  }
+  void QueueCommit(Status* status = nullptr) {
+    Issue({Stmt::kCommit, true, kInvalidTable, nullptr, nullptr, nullptr,
+           nullptr, status});
+  }
+  /// Completes the statements queued since the last Sync and returns the
+  /// first failed status among them in issue order (OK if none failed).
+  virtual Status Sync() { return std::exchange(first_failure_, Status()); }
+  /// True when Queue* defers statements to Sync(), so a flight costs one
+  /// round trip; false when each statement runs inline as it is queued.
+  virtual bool pipelined() const { return false; }
+
+ protected:
+  /// One queued statement, borrowing its inputs from the Queue* call.
+  struct Stmt {
+    enum Kind : uint8_t { kGet, kPut, kInsert, kCount, kCommit };
+    Kind kind;
+    bool abort_on_error;
+    TableId table;
+    const std::string* key;    // kCount: lo
+    const std::string* value;  // kCount: hi
+    std::string* get_out;
+    uint64_t* count_out;
+    Status* status;
+  };
+
+  /// Issues one statement. The default runs it now, through the blocking
+  /// call; an override may defer it to Sync().
+  virtual void Issue(const Stmt& s) {
+    Status st;
+    switch (s.kind) {
+      case Stmt::kGet:
+        st = Get(s.table, *s.key, s.get_out);
+        break;
+      case Stmt::kPut:
+        st = Put(s.table, *s.key, *s.value);
+        break;
+      case Stmt::kInsert:
+        st = Insert(s.table, *s.key, *s.value);
+        break;
+      case Stmt::kCount:
+        st = Count(s.table, *s.key, *s.value, s.count_out);
+        break;
+      case Stmt::kCommit:
+        st = Commit();
+        break;
+    }
+    if (!st.ok() && s.abort_on_error) (void)Abort();
+    Complete(s.status, std::move(st));
+  }
+
+  /// Delivers a completed statement's status and keeps the first
+  /// failure for Sync().
+  void Complete(Status* slot, Status st) {
+    if (!st.ok() && first_failure_.ok()) first_failure_ = st;
+    if (slot) *slot = std::move(st);
+  }
+
+ private:
+  Status first_failure_;
 };
 
 class DbClient {

@@ -37,20 +37,19 @@ Status Dbt2::Load() {
   if (!(st = client_->CreateTable("stock", &stock_)).ok()) return st;
   if (!(st = client_->CreateTable("orders", &orders_)).ok()) return st;
 
+  // One flight per warehouse: its rows and the Commit.
   for (uint32_t w = 1; w <= cfg_.warehouses; w++) {
     auto txn = client_->Begin({.isolation = IsolationLevel::kRepeatableRead});
     if (!txn) return Status::IOError("begin failed");
-    st = txn->Put(warehouse_, WKey(w), "ytd=0");
-    if (!st.ok()) return st;
+    txn->QueuePut(warehouse_, WKey(w), "ytd=0");
     for (uint32_t d = 1; d <= cfg_.districts_per_warehouse; d++) {
-      st = txn->Put(district_, DKey(w, d), "1");  // next order id
-      if (!st.ok()) return st;
+      txn->QueuePut(district_, DKey(w, d), "1");  // next order id
     }
     for (uint32_t i = 1; i <= cfg_.stock_per_warehouse; i++) {
-      st = txn->Put(stock_, SKey(w, i), "100");
-      if (!st.ok()) return st;
+      txn->QueuePut(stock_, SKey(w, i), "100");
     }
-    st = txn->Commit();
+    txn->QueueCommit();
+    st = txn->Sync();
     if (!st.ok()) return st;
   }
   return Status::OK();
@@ -65,57 +64,75 @@ Status Dbt2::RunOne(Random& rng, int* cls) {
   return RunNewOrder(rng);
 }
 
+// Over a pipelining transport: two flights after Begin, every read,
+// then every write with the Commit. The rows written are those of the
+// one-statement-at-a-time body (read warehouse and district, bump the
+// district, read-modify-write each line's stock row, insert the order):
+// a line repeating an item reads the value its earlier line wrote.
+// Statements that complete inline keep that body's order instead: a
+// stock row read long before it is written keeps its SIREAD lock while
+// the transaction waits on a row lock, and under WAL commit latency the
+// concurrent writers of those rows become rw-antidependency victims
+// (embedded dbt2-wal read-all-first: SSI aborts 0.5 -> 12 per 1000).
 Status Dbt2::RunNewOrder(Random& rng) {
   auto txn = client_->Begin({.isolation = cfg_.isolation});
   if (!txn) return Status::IOError("begin failed");
+  const bool flights = txn->pipelined();
   const uint32_t w = 1 + static_cast<uint32_t>(rng.Uniform(cfg_.warehouses));
   const uint32_t d =
       1 + static_cast<uint32_t>(rng.Uniform(cfg_.districts_per_warehouse));
-  std::string v;
-  Status st = txn->Get(warehouse_, WKey(w), &v);
-  if (!st.ok()) {
-    (void)txn->Abort();
-    return st;
-  }
-  st = txn->Get(district_, DKey(w, d), &v);
-  if (!st.ok()) {
-    (void)txn->Abort();
-    return st;
-  }
-  const uint64_t oid = std::stoull(v);
-  st = txn->Put(district_, DKey(w, d), std::to_string(oid + 1));
-  if (!st.ok()) {
-    (void)txn->Abort();
-    return st;
-  }
-  // Order lines: read-modify-write a handful of stock rows.
-  for (int line = 0; line < 5; line++) {
+  const std::string dkey = DKey(w, d);
+  std::string wval, dval;
+  txn->QueueGet(warehouse_, WKey(w), &wval);
+  txn->QueueGet(district_, dkey, &dval);
+  constexpr int kLines = 5;
+  std::string skey[kLines], sval[kLines];
+  int first[kLines];  // the line holding this line's item's value
+  for (int line = 0; line < kLines; line++) {
     const uint32_t item =
         1 + static_cast<uint32_t>(rng.Uniform(cfg_.stock_per_warehouse));
-    st = txn->Get(stock_, SKey(w, item), &v);
-    if (!st.ok()) {
-      (void)txn->Abort();
-      return st;
+    skey[line] = SKey(w, item);
+    first[line] = line;
+    for (int j = 0; j < line; j++) {
+      if (skey[j] == skey[line]) {
+        first[line] = j;
+        break;
+      }
+    }
+    if (flights && first[line] == line) {
+      txn->QueueGet(stock_, skey[line], &sval[line]);
+    }
+  }
+  Status st = txn->Sync();
+  if (!st.ok()) return st;
+
+  const uint64_t oid = std::stoull(dval);
+  txn->QueuePut(district_, dkey, std::to_string(oid + 1));
+  for (int line = 0; line < kLines; line++) {
+    std::string& v = sval[first[line]];  // the latest value of this row
+    if (!flights) {
+      txn->QueueGet(stock_, skey[line], &v);
+      if (!(st = txn->Sync()).ok()) return st;
     }
     uint64_t qty = std::stoull(v);
     qty = qty > 10 ? qty - 10 : qty + 91;  // restock when low, as TPC-C does
-    st = txn->Put(stock_, SKey(w, item), std::to_string(qty));
-    if (!st.ok()) {
-      (void)txn->Abort();
-      return st;
-    }
+    v = std::to_string(qty);
+    txn->QueuePut(stock_, skey[line], v);
   }
   char okey[32];
   std::snprintf(okey, sizeof(okey), "%04u:%02u:%08llu", w, d,
                 static_cast<unsigned long long>(oid));
-  st = txn->Insert(orders_, okey, "order");
-  if (!st.ok() && st.code() != Code::kAlreadyExists) {
-    (void)txn->Abort();
-    return st;
-  }
-  return txn->Commit();
+  Status order;
+  txn->QueueInsert(orders_, okey, "order", &order, /*abort_on_error=*/false);
+  Status commit;
+  txn->QueueCommit(&commit);
+  st = txn->Sync();
+  // An existing order row is tolerated: the outcome is the Commit's.
+  if (order.code() == Code::kAlreadyExists) return commit;
+  return st;
 }
 
+// One flight after Begin: district read, low-stock count, Commit.
 Status Dbt2::RunStockLevel(Random& rng) {
   auto txn = client_->Begin({.isolation = cfg_.isolation, .read_only = true});
   if (!txn) return Status::IOError("begin failed");
@@ -123,23 +140,16 @@ Status Dbt2::RunStockLevel(Random& rng) {
   const uint32_t d =
       1 + static_cast<uint32_t>(rng.Uniform(cfg_.districts_per_warehouse));
   std::string v;
-  Status st = txn->Get(district_, DKey(w, d), &v);
-  if (!st.ok()) {
-    (void)txn->Abort();
-    return st;
-  }
+  txn->QueueGet(district_, DKey(w, d), &v);
   // Count low-stock items over a 20-item window.
   const uint32_t lo =
       1 + static_cast<uint32_t>(rng.Uniform(
               cfg_.stock_per_warehouse > 20 ? cfg_.stock_per_warehouse - 20
                                             : 1));
   uint64_t n = 0;
-  st = txn->Count(stock_, SKey(w, lo), SKey(w, lo + 19), &n);
-  if (!st.ok()) {
-    (void)txn->Abort();
-    return st;
-  }
-  return txn->Commit();
+  txn->QueueCount(stock_, SKey(w, lo), SKey(w, lo + 19), &n);
+  txn->QueueCommit();
+  return txn->Sync();
 }
 
 }  // namespace pgssi::workload

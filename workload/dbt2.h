@@ -3,7 +3,11 @@
 // experiments. Read-write transactions are a simplified New-Order
 // (read warehouse + district, bump the district order counter, touch a
 // handful of stock rows, insert an order); read-only transactions are a
-// simplified Stock-Level (read district, scan a stock range).
+// simplified Stock-Level (read district, scan a stock range). Each body
+// issues its statements as pipelined flights after Begin (see
+// workload/client.h), so over the wire a New-Order costs 3 round trips
+// and a Stock-Level 2; embedded, statements run inline in the
+// one-statement-at-a-time order.
 #pragma once
 
 #include <cstdint>
