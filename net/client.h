@@ -9,7 +9,7 @@
 // are parsed out of large buffered reads. WireTxn queues a
 // transaction's statements and sends each flight with one Send, so a
 // DBT-2 new_order costs 3 round trips (Begin, its reads, its writes
-// with the Commit) instead of 14. NOT thread-safe; one thread per
+// with the Commit) instead of 16. NOT thread-safe; one thread per
 // client, which is exactly the shape the workload drivers use to put
 // many connections over few server workers.
 //
