@@ -680,13 +680,20 @@ void Server::RunConn(const ConnPtr& c) {
     c->last_activity_us.store(NowMicros(), std::memory_order_relaxed);
     // If the intake was paused and we have drained half the queue, ask
     // for more.
-    if (qn <= opts_.backpressure_ops / 2) {
+    const size_t half = opts_.backpressure_ops / 2;
+    if (qn <= half) {
       c->want_read_rearm.store(true, std::memory_order_release);
     }
     // Response bytes are waiting. Flush once the queue drains (a flight
     // of pipelined statements leaves in one write) or when a full write
-    // buffer pauses execution; a park or close nudges on its own.
-    if (qn == 0 || c->write_paused.load(std::memory_order_acquire)) {
+    // buffer pauses execution; a park or close nudges on its own. The
+    // epoll thread acts on the re-arm only when nudged, so also nudge as
+    // the queue drains to half: a queue long enough to pause the intake
+    // passes that point (it shrinks by one op at a time), and the intake
+    // resumes while the second half runs. Only a queue longer than half
+    // the threshold pays this extra flush.
+    if (qn == 0 || qn == half ||
+        c->write_paused.load(std::memory_order_acquire)) {
       NudgeEpoll(c);
     }
   }

@@ -196,24 +196,15 @@ inline void PutStatementFields(std::string* b, Op op, TableId table,
   }
 }
 
-/// Frame body (everything after the u32 length prefix).
-inline std::string EncodeRequestBody(const Request& r) {
-  std::string b;
-  PutU8(&b, OpByte(r.op, r.abort_on_error));
-  switch (r.op) {
-    case Op::kCreateTable:
-    case Op::kOpenTable:
-      PutStr16(&b, r.name);
-      break;
-    case Op::kBegin:
-      PutU8(&b, r.isolation);
-      PutU8(&b, r.flags);
-      break;
-    default:
-      PutStatementFields(&b, r.op, r.table, r.key, r.value);
-      break;
-  }
-  return b;
+/// Appends one frame to `out`: a u32 length prefix, then whatever
+/// `body` appends; the length is patched in once the body is written.
+template <typename Body>
+inline void AppendFrame(std::string* out, Body&& body) {
+  const size_t at = out->size();
+  PutU32(out, 0);  // length, patched below
+  body();
+  const uint32_t len = static_cast<uint32_t>(out->size() - at - 4);
+  for (int i = 0; i < 4; i++) (*out)[at + i] = static_cast<char>(len >> (8 * i));
 }
 
 /// Appends one whole statement frame (kGet..kCount, kCommit, kAbort,
@@ -221,20 +212,30 @@ inline std::string EncodeRequestBody(const Request& r) {
 inline void AppendStatement(std::string* out, Op op, bool abort_on_error,
                             TableId table, std::string_view key,
                             std::string_view value) {
-  const size_t at = out->size();
-  PutU32(out, 0);  // length, patched below
-  PutU8(out, OpByte(op, abort_on_error));
-  PutStatementFields(out, op, table, key, value);
-  const uint32_t len = static_cast<uint32_t>(out->size() - at - 4);
-  for (int i = 0; i < 4; i++) (*out)[at + i] = static_cast<char>(len >> (8 * i));
+  AppendFrame(out, [&] {
+    PutU8(out, OpByte(op, abort_on_error));
+    PutStatementFields(out, op, table, key, value);
+  });
 }
 
 inline std::string EncodeRequest(const Request& r) {
-  const std::string body = EncodeRequestBody(r);
   std::string f;
-  f.reserve(4 + body.size());
-  PutU32(&f, static_cast<uint32_t>(body.size()));
-  f += body;
+  AppendFrame(&f, [&] {
+    PutU8(&f, OpByte(r.op, r.abort_on_error));
+    switch (r.op) {
+      case Op::kCreateTable:
+      case Op::kOpenTable:
+        PutStr16(&f, r.name);
+        break;
+      case Op::kBegin:
+        PutU8(&f, r.isolation);
+        PutU8(&f, r.flags);
+        break;
+      default:
+        PutStatementFields(&f, r.op, r.table, r.key, r.value);
+        break;
+    }
+  });
   return f;
 }
 
@@ -286,9 +287,10 @@ inline bool DecodeRequestBody(std::string_view body, Request* r) {
 inline std::string EncodeResponse(Code code, std::string_view payload) {
   std::string f;
   f.reserve(5 + payload.size());
-  PutU32(&f, static_cast<uint32_t>(1 + payload.size()));
-  PutU8(&f, static_cast<uint8_t>(code));
-  f.append(payload.data(), payload.size());
+  AppendFrame(&f, [&] {
+    PutU8(&f, static_cast<uint8_t>(code));
+    f.append(payload.data(), payload.size());
+  });
   return f;
 }
 

@@ -17,10 +17,13 @@
 // Pipelined statements (libpq pipeline mode's contract): Queue* issues
 // a statement and Sync() completes every statement queued since the
 // last Sync, in issue order, filling each one's status and out-param;
-// it returns the first failed status. A statement queued with
-// abort_on_error (the default) that fails aborts the transaction, so
-// every statement after it, a queued Commit included, fails too and no
-// partial write set commits. Inputs (table, key, value) are consumed
+// it returns the first failed status. A queued statement that fails
+// aborts the transaction (only QueueInsert can opt out), so every
+// statement after it, a queued Commit included, fails too and no
+// partial write set commits. Any non-OK status is a failure, kNotFound
+// included: unlike an empty libpq result, a queued Get that finds no
+// row aborts the transaction, so probe for a row that may be absent
+// with the blocking Get, which leaves the transaction open. Inputs (table, key, value) are consumed
 // by the Queue* call itself; out-params and status slots must stay
 // valid until Sync() returns. Sync() before the next blocking call.
 // The base implementation runs each statement inline through the
@@ -63,16 +66,15 @@ class DbTxn {
   // ----- pipelined statements (see the contract at the top) -----
   /// `*value` must be non-null.
   void QueueGet(TableId table, const std::string& key, std::string* value,
-                Status* status = nullptr, bool abort_on_error = true) {
-    Issue({Stmt::kGet, abort_on_error, table, &key, nullptr, value, nullptr,
-           status});
+                Status* status = nullptr) {
+    Issue({Stmt::kGet, true, table, &key, nullptr, value, nullptr, status});
   }
   void QueuePut(TableId table, const std::string& key,
-                const std::string& value, Status* status = nullptr,
-                bool abort_on_error = true) {
-    Issue({Stmt::kPut, abort_on_error, table, &key, &value, nullptr, nullptr,
-           status});
+                const std::string& value, Status* status = nullptr) {
+    Issue({Stmt::kPut, true, table, &key, &value, nullptr, nullptr, status});
   }
+  /// The one statement a caller may exempt from the abort rule, for an
+  /// insert whose kAlreadyExists it tolerates.
   void QueueInsert(TableId table, const std::string& key,
                    const std::string& value, Status* status = nullptr,
                    bool abort_on_error = true) {
@@ -81,9 +83,8 @@ class DbTxn {
   }
   /// `*n` must be non-null.
   void QueueCount(TableId table, const std::string& lo, const std::string& hi,
-                  uint64_t* n, Status* status = nullptr,
-                  bool abort_on_error = true) {
-    Issue({Stmt::kCount, abort_on_error, table, &lo, &hi, nullptr, n, status});
+                  uint64_t* n, Status* status = nullptr) {
+    Issue({Stmt::kCount, true, table, &lo, &hi, nullptr, n, status});
   }
   void QueueCommit(Status* status = nullptr) {
     Issue({Stmt::kCommit, true, kInvalidTable, nullptr, nullptr, nullptr,
