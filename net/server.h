@@ -9,8 +9,9 @@
 //   into per-conn op queues              Transaction step API (Try*)
 //   flush per-conn write buffers   <---  append response frames,
 //   parked-session deadline ticks        nudge the epoll thread once
-//                                        the op queue drains (or on
-//                                        write pause / park / close)
+//                                        the op queue drains or halves
+//                                        (or on write pause / park /
+//                                        close)
 //
 // Per-session state machine: idle -> in-txn -> awaiting-lock /
 // committing -> in-txn -> idle. A session whose step returns
