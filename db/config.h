@@ -107,8 +107,8 @@ struct EngineConfig {
   // B+-tree leaf/inner fanout.
   uint32_t btree_fanout = 64;
 
-  // Row-lock wait ceiling (fallback; the wait-for graph detects real
-  // deadlocks much sooner).
+  // Row-lock and claim wait ceiling (fallback; the wait-for graph
+  // detects real deadlocks much sooner).
   uint64_t lock_wait_timeout_us = 2'000'000;
   // How long a blocking call waits on its step's wait token before
   // re-issuing the step (which re-runs deadlock detection and deadline

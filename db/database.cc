@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "util/clock.h"
 #include "util/failpoint.h"
@@ -325,6 +326,30 @@ size_t Database::LiveTupleChainCount(TableId table) const {
   return n;
 }
 
+size_t Database::LeakedClaimCount() const {
+  std::vector<XactId> writers;
+  const size_t ntables = [&] {
+    std::shared_lock<std::shared_mutex> l(tables_mu_);
+    return tables_.size();
+  }();
+  for (TableId id = 1; id <= ntables; id++) {
+    const Table* tbl = GetTable(id);
+    const size_t cnt = tbl->tuples.size();
+    for (TupleId tid = 0; tid < cnt; tid++) {
+      std::shared_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid));
+      for (const Version& v : tbl->tuples[tid].versions) {
+        if (v.commit_seq == 0) writers.push_back(v.xid);
+      }
+    }
+  }
+  // The registry check runs with no stripe held.
+  size_t n = 0;
+  for (XactId x : writers) {
+    if (!txn_mgr_.AnyActive({x})) n++;
+  }
+  return n;
+}
+
 size_t Database::IndexEntryCount(TableId table) const {
   Table* tbl = GetTable(table);
   if (!tbl) return 0;
@@ -431,26 +456,37 @@ Status Transaction::TryBegin() {
   return Status::OK();
 }
 
+// The wait deadline spans re-issues: it anchors at the first would-block
+// on a lock or claim and holds until the statement ends (see
+// CheckActive). Re-entrant grants of locks the statement already holds
+// leave it alone; a would-block on a LATER lock re-anchors, so each lock
+// in a multi-lock op gets its own full timeout.
+bool Transaction::ContinuesWait(TableId table, const std::string& key,
+                                LockTable::Mode mode) const {
+  return wait_started_us_ != 0 && wait_mode_ == mode &&
+         wait_table_ == table && wait_key_ == key;
+}
+
+bool Transaction::WaitExpired() const {
+  return NowMicros() >
+         wait_started_us_ + db_->opts_.engine.lock_wait_timeout_us;
+}
+
+void Transaction::AnchorWait(TableId table, const std::string& key,
+                             LockTable::Mode mode) {
+  wait_started_us_ = NowMicros();
+  wait_table_ = table;
+  wait_key_ = key;
+  wait_mode_ = mode;
+}
+
 Status Transaction::AcquireRowLock(TableId table, const std::string& key,
                                    LockTable::Mode mode) {
-  // The wait deadline spans re-issues: it anchors at the first
-  // would-block on this lock and holds until the statement ends (see
-  // CheckActive). Re-entrant grants of locks the statement already holds
-  // leave it alone; a would-block on a LATER lock re-anchors, so each
-  // lock in a multi-lock op gets its own full timeout.
-  const bool same_wait = wait_started_us_ != 0 && wait_mode_ == mode &&
-                         wait_table_ == table && wait_key_ == key;
-  const bool timed_out =
-      same_wait &&
-      NowMicros() > wait_started_us_ + db_->opts_.engine.lock_wait_timeout_us;
-  Status st = db_->row_locks_.AcquireAsync(xid_, table, key, mode, timed_out,
-                                           &wait_token_);
-  if (st.IsWouldBlock() && !same_wait) {
-    wait_started_us_ = NowMicros();
-    wait_table_ = table;
-    wait_key_ = key;
-    wait_mode_ = mode;
-  }
+  const bool same_wait = ContinuesWait(table, key, mode);
+  Status st = db_->row_locks_.AcquireAsync(xid_, table, key, mode,
+                                           same_wait && WaitExpired(),
+                                           &wait_token_, &held_locks_);
+  if (st.IsWouldBlock() && !same_wait) AnchorWait(table, key, mode);
   return st;
 }
 
@@ -516,7 +552,9 @@ void Transaction::AbortInternal() {
     db_->siread_.Abort(sxact_);  // frees the xact
     sxact_ = nullptr;
   }
-  db_->row_locks_.ReleaseAll(xid_);
+  // After the rollback: a claim waiter re-issues against the chain as
+  // the abort left it.
+  db_->row_locks_.ReleaseAll(xid_, &held_locks_);
   db_->txn_mgr_.Abort(xid_);
   db_->FinishTxn(/*marked_seq=*/0);
   finished_ = true;
@@ -623,6 +661,9 @@ Status Transaction::CommitBody() {
           if (v.xid == xid_ && v.commit_seq == 0) v.commit_seq = s;
         }
       }
+      if (db_->test_after_commit_stamp_) {
+        std::exchange(db_->test_after_commit_stamp_, nullptr)();
+      }
       return true;
     });
     if (wal_on) {
@@ -650,7 +691,8 @@ Status Transaction::CommitBody() {
       sxact_ = nullptr;
     }
   }
-  db_->row_locks_.ReleaseAll(xid_);
+  // After the stamp: a claim waiter's re-issue sees the committed version.
+  db_->row_locks_.ReleaseAll(xid_, &held_locks_);
   db_->FinishTxn(marked_seq);
   finished_ = true;
   return Status::OK();
@@ -658,8 +700,9 @@ Status Transaction::CommitBody() {
 
 void Transaction::BuildWalCommitPayload(std::string* payload,
                                         size_t* seq_offset) {
-  // One WriteRec per (table, tid) is guaranteed — the exclusive row lock
-  // plus own-version overwrite collapse repeated writes — so the chain's
+  // One WriteRec per (table, tid) is guaranteed — the claim (no other
+  // writer appends behind an uncommitted head) plus own-version overwrite
+  // collapse repeated writes — so the chain's
   // single uncommitted version with our xid IS the final value. Scan
   // from the back: our version is the newest.
   wal::CommitRecord rec;
@@ -957,17 +1000,21 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
   Database::Table* tbl = db_->GetTable(table);
   if (!tbl) return Status::InvalidArgument("no such table");
 
-  // Row lock first (never while holding a stripe or an epoch pin). For
-  // SI/SSI this is the blocking half of first-updater-wins; for S2PL it
-  // is the exclusive lock held to commit.
-  st = AcquireRowLock(table, key, LockTable::Mode::kExclusive);
-  // Would-block precedes every mutation: the caller re-issues this
-  // write verbatim on wakeup (the key lock, once granted, stays held).
-  if (st.IsWouldBlock()) return st;
-  if (!st.ok()) {
-    if (use_s2pl_) db_->s2pl_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-    AbortInternal();
-    return st;
+  if (db_->opts_.serializable_impl == SerializableImpl::kS2PL) {
+    // In an S2PL database every writer takes the key's exclusive lock,
+    // held to commit (never while holding a stripe or an epoch pin), so
+    // S2PL readers' shared locks see SI writers too.
+    st = AcquireRowLock(table, key, LockTable::Mode::kExclusive);
+    // Would-block precedes every mutation: the caller re-issues this
+    // write verbatim on wakeup (the key lock, once granted, stays held).
+    if (st.IsWouldBlock()) return st;
+    if (!st.ok()) {
+      if (use_s2pl_) {
+        db_->s2pl_deadlocks_.fetch_add(1, std::memory_order_relaxed);
+      }
+      AbortInternal();
+      return st;
+    }
   }
   if (use_s2pl_) {
     // Inserting or deleting changes scan results: take the table-gap lock
@@ -988,8 +1035,19 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
       }
     }
   }
-  SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
+  st = WriteChain(tbl, key, value, deleted, upsert);
+  // The simulated page access follows the last would-block point (a
+  // claim wait) and the chain work's pin: a parked step never sleeps.
+  if (!st.IsWouldBlock()) {
+    SimulatedIoDelay(db_->opts_.engine.simulated_io_delay_us);
+  }
+  return st;
+}
 
+Status Transaction::WriteChain(Database::Table* tbl, const std::string& key,
+                               const std::string& value, bool deleted,
+                               bool upsert) {
+  const TableId table = tbl->id;
   // Existing chain: a single-chain write — the chain's stripe held
   // exclusively. Writers of independent keys land on independent
   // stripes and run concurrently. The lookup is validated after the
@@ -997,10 +1055,9 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
   // stripe across its Erase, so a stale hit either blocks until the
   // erase's version bump lands (and restarts into the new-key path) or
   // won the stripe first (and the GC record gets re-enqueued).
-  // Pin from here to the end of the function: the existing-chain loop's
-  // ReadView spans lookup→probe→Validate, and the new-key path's
-  // InsertGuarded descends optimistically. The row-lock waits all
-  // happened above, so the pin never parks.
+  // One pin for the whole loop: the existing-chain ReadView spans
+  // lookup→probe→Validate, and InsertGuarded descends optimistically.
+  // A claim wait returns (dropping the pin) rather than parking here.
   util::EpochManager::Pin pin(&db_->epoch_);
   for (;;) {
     BTree::ReadView rv;
@@ -1016,11 +1073,60 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
         if (!tbl->index.Validate(rv)) continue;
         return Status::NotFound("key " + key);
       }
-      break;  // new key: fall through to the insert path
+      const BTree::InsertResult res = InsertChain(tbl, key, value);
+      if (res == BTree::InsertResult::kInserted) return Status::OK();
+      // Another inserter published this key first: its chain (and the
+      // claim at its head) now exists, so re-run the existing-chain path.
+      if (res == BTree::InsertResult::kExists) continue;
+      AbortInternal();  // kAborted: the gap probe found us doomed
+      return Status::SerializationFailure(
+          "canceled due to rw-antidependency conflict");
     }
     std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid));
     if (!tbl->index.Validate(rv)) continue;  // entry moved/erased
     Database::TupleChain& chain = tbl->tuples[tid];
+    const Database::Version* head =
+        chain.versions.empty() ? nullptr : &chain.versions.back();
+    const uint64_t head_seq = head ? head->commit_seq : 0;
+    if (head && head->xid != xid_ &&
+        (head_seq == 0 || head_seq > db_->txn_mgr_.LastCommittedSeq())) {
+      // First-updater-wins claim: another transaction's version heads the
+      // chain and that transaction has not finished. It is uncommitted,
+      // or stamped with a seq the watermark has not published yet (a
+      // predecessor's WAL fsync holds publication back). Wait for it to
+      // finish, as PostgreSQL waits on a live xmax: failing at once on a
+      // stamped head sends the retry, whose snapshot still excludes it,
+      // straight back into the same conflict until the publication.
+      // No wake-up is lost. An uncommitted holder stamps or erases this
+      // chain under this stripe before ReleaseAll reads the waiter count,
+      // so it sees a registration made under the stripe. A stamped holder
+      // has published its seq before that read, and the fence below pairs
+      // with the one in ReleaseAll: either the holder sees this
+      // registration or the re-read of the watermark sees its seq.
+      const bool same_wait =
+          ContinuesWait(table, key, LockTable::Mode::kExclusive);
+      util::WaitTokenPtr victim;
+      Status st = db_->row_locks_.WaitForClaim(
+          xid_, head->xid, same_wait && WaitExpired(), &wait_token_, &victim);
+      bool published = false;
+      if (st.IsWouldBlock() && head_seq != 0) {
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        published = db_->txn_mgr_.LastCommittedSeq() >= head_seq;
+      }
+      sl.unlock();
+      if (victim) victim->Signal();
+      // The holder finished meanwhile: re-read the chain, whose head now
+      // fails first-updater-wins (the abort drops the registration).
+      if (published) continue;
+      if (st.IsWouldBlock()) {
+        if (!same_wait) AnchorWait(table, key, LockTable::Mode::kExclusive);
+        return st;
+      }
+      // Deadlock or timeout. (Never an S2PL transaction: in an S2PL
+      // database the key's X lock keeps a second writer off the chain.)
+      AbortInternal();
+      return st;
+    }
     if (!use_s2pl_) {
       // First-updater-wins: a version committed after our snapshot means
       // a concurrent writer beat us.
@@ -1095,35 +1201,40 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
     }
     return Status::OK();
   }
+}
 
-  // New key: a structural change (index insert, possible leaf split, gap
-  // probes). The key's exclusive row lock (held since the preamble) pins
-  // its (non)existence, so the miss observed above cannot have been
-  // raced by another inserter of the SAME key. InsertGuarded locks only
+BTree::InsertResult Transaction::InsertChain(Database::Table* tbl,
+                                             const std::string& key,
+                                             const std::string& value) {
+  // A structural change (index insert, possible leaf split, gap probes).
+  // Nothing pins the key's absence: two inserters may both miss, and
+  // InsertGuarded's leaf locks let exactly one publish; the other gets
+  // kExists and waits on the winner's claim. InsertGuarded locks only
   // the gap's leaves and runs the SIREAD gap probe + coverage transfer
   // under those leaf locks (probe may run multiple times across
   // restarts — idempotent; transfer runs exactly once).
+  const TableId table = tbl->id;
   const bool next_key_mode =
       db_->opts_.engine.index_gap_locking == IndexGapLocking::kNextKey;
   // Chain first, index second: the chain must be fully populated before
   // the index entry is published, because latch-free readers resolve the
   // entry and read the chain with no index latch. The stripe is NOT held
   // across InsertGuarded (stripe orders before leaf locks).
-  TupleId tid2;
+  TupleId tid;
   {
     std::lock_guard<std::mutex> al(tbl->alloc_mu);
     if (!tbl->free_chains.empty()) {
       // Recycle a chain whose creating insert aborted (its index entry
       // is already gone — the free-list invariant).
-      tid2 = tbl->free_chains.back();
+      tid = tbl->free_chains.back();
       tbl->free_chains.pop_back();
     } else {
-      tid2 = static_cast<TupleId>(tbl->tuples.Append());
+      tid = static_cast<TupleId>(tbl->tuples.Append());
     }
   }
   {
-    std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid2));
-    Database::TupleChain& chain = tbl->tuples[tid2];
+    std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid));
+    Database::TupleChain& chain = tbl->tuples[tid];
     chain.key = key;
     chain.versions.push_back(Database::Version{value, xid_, 0, false});
   }
@@ -1166,31 +1277,30 @@ Status Transaction::WriteInternal(TableId table, const std::string& key,
       db_->siread_.OnGapTransfer(table, npage, nslot, newp, news);
     };
   }
+  if (db_->test_before_index_publish_) {
+    std::exchange(db_->test_before_index_publish_, nullptr)();
+  }
   PageId ipage;
   uint32_t islot;
   const BTree::InsertResult res =
-      tbl->index.InsertGuarded(key, tid2, &ipage, &islot, hooks);
-  if (res != BTree::InsertResult::kInserted) {
-    // kAborted: the gap probe found us doomed. (kExists is unreachable —
-    // the row lock pins absence — but is handled the same, defensively.)
-    // Unwind the unpublished chain and recycle it directly: its index
-    // entry never existed, so no GC record is needed.
-    {
-      std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid2));
-      Database::TupleChain& chain = tbl->tuples[tid2];
-      chain.versions.clear();
-      chain.key.clear();
-    }
-    {
-      std::lock_guard<std::mutex> al(tbl->alloc_mu);
-      tbl->free_chains.push_back(tid2);
-    }
-    AbortInternal();
-    return Status::SerializationFailure(
-        "canceled due to rw-antidependency conflict");
+      tbl->index.InsertGuarded(key, tid, &ipage, &islot, hooks);
+  if (res == BTree::InsertResult::kInserted) {
+    writes_.push_back(WriteRec{table, tid, /*created=*/true});
+    return res;
   }
-  writes_.push_back(WriteRec{table, tid2, /*created=*/true});
-  return Status::OK();
+  // Unwind the unpublished chain and recycle it directly: its index
+  // entry never existed, so no GC record is needed.
+  {
+    std::unique_lock<std::shared_mutex> sl(tbl->heap_latch.For(tid));
+    Database::TupleChain& chain = tbl->tuples[tid];
+    chain.versions.clear();
+    chain.key.clear();
+  }
+  {
+    std::lock_guard<std::mutex> al(tbl->alloc_mu);
+    tbl->free_chains.push_back(tid);
+  }
+  return res;
 }
 
 Status Transaction::TryPut(TableId table, const std::string& key,

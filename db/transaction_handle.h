@@ -2,7 +2,9 @@
 //
 // Database::Open builds an MVCC storage engine with:
 //  - REPEATABLE READ = plain snapshot isolation (commit-seq snapshots,
-//    blocking first-updater-wins write conflicts);
+//    blocking first-updater-wins write conflicts: a writer's uncommitted
+//    version heads its chain as a claim, and a second writer waits on it
+//    without entering any lock table unless it must wait);
 //  - SERIALIZABLE = SSI (SIREAD locks + rw-antidependency tracking with
 //    dangerous-structure aborts) or, when
 //    DatabaseOptions::serializable_impl == SerializableImpl::kS2PL,
@@ -22,16 +24,17 @@
 // Step contract:
 //  - On kWouldBlock, re-issue the *same* call with the same arguments
 //    once wait_token() fires (earlier is harmless). Every would-block
-//    site sits BEFORE the operation's first mutation, epoch pin, latch,
-//    or simulated I/O stall, so a re-issue re-enters granted row locks
-//    and resets out-parameters.
+//    site sits BEFORE the operation's first mutation and simulated I/O
+//    stall, and drops its epoch pin and latch before returning, so a
+//    re-issue re-enters granted row locks and resets out-parameters.
 //  - A wake is permission to retry, not a grant: the retry may
 //    would-block again. TryCommit re-parks at the WAL commit gate for as
 //    long as a group fsync is in flight, until lock_wait_timeout_us has
 //    passed since its first park; then it aborts with a retryable error.
 //  - A suspended transaction holds no epoch pin and no latch, only its
-//    granted row locks (2PL requires them); the wait-for graph covers
-//    parked and blocked transactions alike.
+//    claims (its versions at chain heads) and, under S2PL, its granted row
+//    locks; the wait-for graph covers parked and blocked transactions
+//    alike.
 //  - kSerializationFailure (and a commit's I/O error) means the step
 //    aborted the transaction; statement-level errors (NotFound,
 //    AlreadyExists, InvalidArgument) leave it open.
@@ -114,6 +117,20 @@ class Database {
   /// Test-only: force the next `n` index insert attempts on `table` to
   /// restart after their gap probe (exercises the OLC restart path).
   void TestForceIndexInsertRestarts(TableId table, int n);
+  /// Test-only: run `fn` once, in the next new-key insert, after its
+  /// index lookup missed and before it publishes its chain — the window
+  /// in which a second inserter of the same key can publish first.
+  /// Set it while no transaction is running.
+  void TestBeforeIndexPublish(std::function<void()> fn) {
+    test_before_index_publish_ = std::move(fn);
+  }
+  /// Test-only: run `fn` once, in the next read-write commit, after its
+  /// versions are stamped and before its seq is published — the window
+  /// in which its claims outlive the stamp. Set it while no transaction
+  /// is running.
+  void TestAfterCommitStamp(std::function<void()> fn) {
+    test_after_commit_stamp_ = std::move(fn);
+  }
   /// Cross-checks the SIREAD lock tables against holder bookkeeping.
   bool CheckSsiLockConsistency() const { return siread_.CheckConsistency(); }
   /// SIREAD lock-table entry counts (the gap-transfer growth-bound
@@ -135,9 +152,14 @@ class Database {
   uint64_t OldestActiveSnapshot() const {
     return txn_mgr_.OldestActiveSnapshot();
   }
-  /// Distinct keys currently held or waited on in the row-lock table
+  /// S2PL keys currently locked plus registered lock and claim waits
   /// (drains to 0 after every session finishes — shutdown regressions).
+  /// SI/SSI writers hold no entry here: their claims live in the chains.
   size_t RowLockCount() const { return row_locks_.LockedKeyCount(); }
+  /// Test-only claim-leak check: uncommitted versions whose writer is no
+  /// longer active. Each is a first-updater-wins claim nobody will ever
+  /// release, so this must read 0 at any quiescent point.
+  size_t LeakedClaimCount() const;
   /// fsyncs issued by the WAL writer (0 when WAL is disabled) — the
   /// bench's fsyncs-per-commit metric and the group-commit regressions.
   uint64_t WalFsyncCount() const { return wal_ ? wal_->fsync_count() : 0; }
@@ -206,15 +228,19 @@ class Database {
     mutable std::array<std::atomic<TupleChain*>, kMaxSegs> segs_;
     std::atomic<size_t> size_{0};
   };
-  // Table latching (lock order, outermost first: row locks > heap
-  // stripe > B+-tree structure lock > leaf version locks (chain order) >
-  // alloc_mu > SIREAD partition > per-xact spinlocks/edge locks):
+  // Table latching (lock order, outermost first: S2PL lock shard >
+  // heap stripe > wait-for graph / B+-tree structure lock > leaf version
+  // locks (chain order) > alloc_mu > SIREAD partition > per-xact
+  // spinlocks/edge locks):
   //  - the index has no table-wide latch: descent is latch-free and
   //    validated, inserts lock only the touched leaves (see
   //    index/btree.h for the acquire-then-validate protocol).
   //  - heap_latch stripes (hash of TupleId) guard chain content: chain
   //    readers take their stripe shared, chain writers exclusive. This
-  //    is what lets writers of independent keys run concurrently.
+  //    is what lets writers of independent keys run concurrently. The
+  //    head of a chain is its first-updater-wins claim: a writer that
+  //    finds another unfinished transaction's version there registers
+  //    its wait under the stripe (LockTable::WaitForClaim).
   //  - alloc_mu guards ChainStore::Append and free_chains. free_chains
   //    recycles TupleIds of chains whose creating insert aborted; a
   //    chain enters it only AFTER DrainIndexGc erased its index entry.
@@ -222,8 +248,8 @@ class Database {
   //    validates against the B+-tree, and every tree-mutating region,
   //    runs under an EpochManager::Pin so epoch-retired entries/nodes
   //    stay dereferenceable until the region ends. Pins are never held
-  //    across a row-lock wait (that would stall reclamation for the
-  //    whole engine).
+  //    across a row-lock or claim wait (that would stall reclamation
+  //    for the whole engine).
   struct Table {
     Table(TableId i, std::string n, uint32_t fanout,
           util::EpochManager* epoch)
@@ -280,6 +306,7 @@ class Database {
   DatabaseOptions opts_;
   txn::TxnManager txn_mgr_;
   ssi::SireadLockManager siread_;
+  // S2PL locks and every lock or claim wait (the wait-for graph).
   LockTable row_locks_;
   // Null unless wal_enabled and recovery succeeded. The writer's own
   // mutex is a LEAF in the lock order: Transaction::Commit appends while
@@ -305,6 +332,9 @@ class Database {
   std::atomic<size_t> gc_queued_{0};
   // Highest bound a Section 5.3 cleanup run has claimed (FinishTxn).
   std::atomic<uint64_t> cleanup_bound_{0};
+
+  std::function<void()> test_before_index_publish_;
+  std::function<void()> test_after_commit_stamp_;
 
   std::atomic<uint64_t> ww_aborts_{0};
   std::atomic<uint64_t> s2pl_deadlocks_{0};
@@ -414,7 +444,7 @@ class Transaction {
   void AbortInternal();
   // Commit after the gate: PreCommit, WAL append, stamp, release.
   Status CommitBody();
-  /// All five row-lock call sites funnel through here, onto
+  /// Every S2PL row-lock call site funnels through here, onto
   /// LockTable::AcquireAsync. On conflict the token lands in wait_token_
   /// and kWouldBlock returns — BEFORE any mutation, epoch pin, or latch
   /// is taken, so the caller re-issues the same operation after the
@@ -423,6 +453,16 @@ class Transaction {
   /// re-entrant grants of already-held locks do not reset it.
   Status AcquireRowLock(TableId table, const std::string& key,
                         LockTable::Mode mode);
+  // Lock-wait deadline bookkeeping shared by row-lock and claim waits.
+  // ContinuesWait: this attempt re-issues the current wait on (table,
+  // key, mode). WaitExpired: that wait began lock_wait_timeout_us ago.
+  // AnchorWait: a would-block on a new (table, key, mode) starts its own
+  // full timeout.
+  bool ContinuesWait(TableId table, const std::string& key,
+                     LockTable::Mode mode) const;
+  bool WaitExpired() const;
+  void AnchorWait(TableId table, const std::string& key,
+                  LockTable::Mode mode);
   // Serializes this transaction's write set into a kCommit payload (seq
   // left as a placeholder; *seq_offset feeds wal::PatchCommitSeq inside
   // the stamp callback, where the seq finally exists).
@@ -433,6 +473,16 @@ class Transaction {
       const std::function<void(const std::string&, const std::string&)>& fn);
   Status WriteInternal(TableId table, const std::string& key,
                        const std::string& value, bool deleted, bool upsert);
+  // WriteInternal's chain work, under one epoch pin: the existing-chain
+  // write (claim check, first-updater-wins, SIREAD probe) or the new-key
+  // insert, whichever the index lookup selects.
+  Status WriteChain(Database::Table* tbl, const std::string& key,
+                    const std::string& value, bool deleted, bool upsert);
+  // New-key insert: publishes a fresh chain holding this transaction's
+  // version. kExists means another inserter published the key first;
+  // the unpublished chain is unwound either way unless kInserted.
+  BTree::InsertResult InsertChain(Database::Table* tbl, const std::string& key,
+                                  const std::string& value);
   // Picks the version visible to this txn; returns index into the chain or
   // -1. Also reports whether any *later* (invisible) version exists.
   int VisibleVersion(const Database::TupleChain& chain) const;
@@ -456,17 +506,20 @@ class Transaction {
   ssi::SerializableXact* sxact_ = nullptr;
   bool finished_ = false;
   std::vector<WriteRec> writes_;
+  // S2PL locks granted to this transaction, released at its end.
+  std::vector<LockTable::HeldLock> held_locks_;
 
   // ----- step state -----
   bool started_ = false;
   // Token for the most recent kWouldBlock.
   util::WaitTokenPtr wait_token_;
   // First would-block instant of the current wait; the lock-wait
-  // timeout is enforced against it across re-issues — for row-lock waits
-  // and for WAL commit-gate parks alike (a stalled fsync otherwise parks
-  // a committer forever). Cleared when a statement starts (CheckActive);
-  // re-anchored when a statement would-blocks on a different row lock,
-  // identified by wait_table_/wait_key_/wait_mode_.
+  // timeout is enforced against it across re-issues — for row-lock and
+  // claim waits and for WAL commit-gate parks alike (a stalled fsync
+  // otherwise parks a committer forever). Cleared when a statement
+  // starts (CheckActive); re-anchored when a statement would-blocks on a
+  // different row lock or claim, identified by wait_table_/wait_key_/
+  // wait_mode_ (a claim wait is an exclusive one).
   uint64_t wait_started_us_ = 0;
   TableId wait_table_ = kInvalidTable;
   std::string wait_key_;

@@ -209,9 +209,12 @@ TEST(IndexOlcTest, InsertStormWithConcurrentScanners) {
   EXPECT_EQ(db->IndexEntryCount(t), expect);
   EXPECT_EQ(db->LiveTupleChainCount(t), expect);
   EXPECT_TRUE(db->CheckSsiLockConsistency());
-  // After the storm quiesces, nothing may linger in the limbo.
+  // After the storm quiesces, nothing may linger in the limbo, and no
+  // aborted or committed inserter may have left a claim behind.
   db->QuiesceEpochs();
   EXPECT_EQ(db->EpochRetiredObjectCount(), 0u);
+  EXPECT_EQ(db->LeakedClaimCount(), 0u);
+  EXPECT_EQ(db->RowLockCount(), 0u);
 }
 
 }  // namespace

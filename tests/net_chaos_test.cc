@@ -289,9 +289,11 @@ TEST(NetChaosTest, ChaosConvergence) {
   EXPECT_GE(f.server->stats().accepted - accepted_before, 100u)
       << "storm must span ≥100 connection lifetimes";
 
-  // Convergence: every broken session reaped, nothing pinned or locked.
+  // Convergence: every broken session reaped, nothing pinned or locked,
+  // and no reaped session's claim left in a chain.
   EXPECT_TRUE(ConvergedClean(f.db.get()));
   EXPECT_TRUE(f.db->CheckSsiLockConsistency());
+  EXPECT_EQ(f.db->LeakedClaimCount(), 0u);
 
   // RUBiS invariants survived the storm (checked over a healed wire).
   bool ok = false;

@@ -244,6 +244,9 @@ TEST(SsiPartitionStressTest, WriteSkewPairsNeverCommitAnomaly) {
     EXPECT_GE(a + b, 0) << "write skew committed on pair " << i;
   }
   ASSERT_TRUE(txn->Commit().ok());
+  // Every writer finished: no claim or wait registration may remain.
+  EXPECT_EQ(db->LeakedClaimCount(), 0u);
+  EXPECT_EQ(db->RowLockCount(), 0u);
 }
 
 TEST(SsiPartitionStressTest, ConcurrentLeafSplitsKeepLocksAndData) {
@@ -308,6 +311,8 @@ TEST(SsiPartitionStressTest, ConcurrentLeafSplitsKeepLocksAndData) {
   ASSERT_TRUE(txn->Count(t, "s00000000", "s99999999", &n).ok());
   EXPECT_EQ(n, static_cast<uint64_t>(kWriters * kPerWriter));
   ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(db->LeakedClaimCount(), 0u);
+  EXPECT_EQ(db->RowLockCount(), 0u);
 }
 
 }  // namespace
